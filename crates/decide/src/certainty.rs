@@ -87,7 +87,8 @@ pub(crate) fn decide_certified(view: &View, facts: &Instance, engine: &Engine) -
                 // frozen world's answer; the freeze avoids the facts' active domain, so
                 // *any* completion at least as generic (fresh values everywhere) misses
                 // it too.  Verify locally before emitting; fall back to enumeration.
-                let cert = certify::base_completion(&view.db, &certify::avoid_set(&view.db, facts))
+                let avoid = certify::avoid_set(&view.db, facts);
+                let cert = certify::base_completion(engine, &view.db, &avoid)
                     .map(certify::valuation)
                     .filter(|v| {
                         v.world_of(&view.db)
@@ -114,14 +115,19 @@ pub(crate) fn decide_certified(view: &View, facts: &Instance, engine: &Engine) -
                             Some(empty_rep_or_exhaustive(view)),
                         );
                     }
-                    let mut counter = engine.config().counter();
-                    match certify::missing_witness(&db, facts, &mut counter) {
-                        Ok(Some(w)) => {
-                            Decision::certified(Ok(false), strategy, counter_world(view, w, facts))
-                        }
-                        Ok(None) => {
-                            Decision::certified(Ok(true), strategy, Some(Certificate::Exhaustive))
-                        }
+                    match engine.missing_any_ctx(&db, facts, &engine.ctx()) {
+                        Ok(verdict) => match certify::read_off(verdict, &db, facts) {
+                            (true, w) => Decision::certified(
+                                Ok(false),
+                                strategy,
+                                w.and_then(|w| counter_world(view, w, facts)),
+                            ),
+                            (false, _) => Decision::certified(
+                                Ok(true),
+                                strategy,
+                                Some(Certificate::Exhaustive),
+                            ),
+                        },
                         Err(e) => Decision::of(Err(e), strategy),
                     }
                 }
@@ -185,7 +191,8 @@ fn certified_per_shard(
             }
             // No such relation: missing from every world — any world is a counter.
             _ => {
-                let cert = certify::base_completion(&view.db, &certify::avoid_set(&view.db, facts))
+                let avoid = certify::avoid_set(&view.db, facts);
+                let cert = certify::base_completion(engine, &view.db, &avoid)
                     .map(|w| Certificate::counter_world(certify::valuation(w)));
                 return Decision::certified(Ok(false), strategy, cert);
             }
@@ -194,26 +201,21 @@ fn certified_per_shard(
     if !any_fact {
         return Decision::certified(Ok(true), strategy, Some(Certificate::Exhaustive));
     }
-    let mut counter = engine.config().counter();
+    let ctx = engine.ctx();
     for (g_idx, (group, part)) in db.shard_groups().iter().zip(&parts).enumerate() {
         if part.relation_count() == 0 {
             continue;
         }
         let gdb = group.database();
         let outcome = engine.memo_certified(MemoOp::MissingAny, gdb, part, None, || {
-            Ok(match certify::missing_witness(gdb, part, &mut counter)? {
-                Some(w) => (
-                    true,
-                    Some(Certificate::counter_world(certify::valuation(w))),
-                ),
-                None => (false, Some(Certificate::Exhaustive)),
-            })
+            let verdict = engine.missing_any_ctx(gdb, part, &ctx.fork())?;
+            Ok(certify::counter_or_exhaustive(verdict, gdb, part))
         });
         match outcome {
             Ok((true, cert)) => {
                 let stitched = match cert {
                     Some(Certificate::CounterWorld { valuation }) => {
-                        certify::stitch_counter_world(db, g_idx, valuation.iter().collect())
+                        certify::stitch_counter_world(engine, db, g_idx, valuation.iter().collect())
                             .and_then(|w| counter_world(view, w, facts))
                     }
                     _ => None,

@@ -1,14 +1,14 @@
-//! Witness extraction for certified decides: sequential mirrors of the engine's
-//! constraint searches that, instead of answering `true`, return the **total satisfying
-//! valuation** the accepting leaf corresponds to — the raw material of a
-//! [`pw_core::Certificate`].
+//! Certificate extraction for certified decides: turning what a decision search found
+//! into the **total satisfying valuation** a [`pw_core::Certificate`] carries.
 //!
-//! Every extractor here is a complete search over the same branch structure as its
-//! uncertified counterpart (`membership::backtracking`, the engine's cover / missing /
-//! escape searches, the Codd matching algorithms), so `Some(binding)` and the
-//! uncertified `true` coincide by construction; the problem modules assert nothing —
-//! the property suite cross-checks certified against uncertified verdicts, and the
-//! independent checker (`pw_check`) re-validates every extracted valuation.
+//! There is no second search here.  Under [`crate::EngineConfig::certify`] every
+//! constraint search of the engine keeps the store of the accepting leaf that decided it
+//! (a [`Verdict`]'s `leaf`), so certified and uncertified decides walk the same tree and
+//! charge the same budget; this module only completes that store.  The polynomial
+//! matching algorithms (Theorems 3.1(1) and 5.1(1)) have no search tree, so their
+//! witnesses are built from the matching itself ([`codd_membership_witness`],
+//! [`codd_possibility_witness`]).  The independent checker (`pw_check`) re-validates every
+//! valuation produced here.
 //!
 //! Extraction convention: at an accepting leaf the constraint store holds everything
 //! the branch decided (row↦fact equalities, falsified condition atoms, the global
@@ -20,9 +20,10 @@
 //! `(Variable, Sym)` pairs in the database's symbol context (the handle-threading
 //! rule), merged across shard groups by plain union — groups are variable-disjoint.
 
-use crate::common::{BudgetCounter, DecisionError};
-use crate::engine::{intern_fact, Engine, MemoOp};
-use pw_condition::{Atom, Conjunction, ConstraintSet, Term, Variable};
+use crate::common::DecisionError;
+use crate::engine::{intern_fact, Ctx, Engine, MemoOp, Verdict};
+use crate::membership::{row_unifies_with_fact, schema_compatible};
+use pw_condition::{ConstraintSet, Term, Variable};
 use pw_core::{CDatabase, Certificate, Valuation};
 use pw_relational::{Constant, Instance, Sym};
 use pw_solvers::matching::{maximum_matching, BipartiteGraph};
@@ -45,36 +46,58 @@ pub(crate) fn avoid_set(db: &CDatabase, request: &Instance) -> BTreeSet<Constant
     avoid
 }
 
-/// All global conditions asserted; `None` when they are jointly unsatisfiable
-/// (`rep(db) = ∅`).  Local equivalent of `Engine::base_store` (no cache — certified
-/// extraction runs once per verdict).
-fn base_store(db: &CDatabase) -> Option<ConstraintSet> {
-    let mut store = ConstraintSet::new();
-    for table in db.tables() {
-        if !store.assert_conjunction(table.global_condition()) {
-            return None;
-        }
-    }
-    Some(store)
-}
-
-/// Extend the store to a total valuation of `db`'s variables, re-interned through the
-/// database's own handle.
-fn complete(
-    store: &mut ConstraintSet,
+/// Extend an accepting leaf's store to a total valuation of `db`'s variables,
+/// re-interned through the database's own handle.
+pub(crate) fn complete(
+    mut leaf: ConstraintSet,
     db: &CDatabase,
     avoid: &BTreeSet<Constant>,
 ) -> Option<Binding> {
-    let pairs = store.complete_valuation(db.variables(), avoid)?;
+    let pairs = leaf.complete_valuation(db.variables(), avoid)?;
     Some(pairs.into_iter().map(|(v, c)| (v, db.intern(&c))).collect())
+}
+
+/// Read a certified search's answer and evidence off its [`Verdict`]: the verdict, and
+/// the accepting leaf completed over `db` (avoiding [`avoid_set`]`(db, request)`) when
+/// there is one.  Membership's leaf yields a world that is *exactly* the instance (mapped
+/// rows produce their facts, absent rows keep a falsified atom, and fresh values can
+/// neither resurrect an absent row nor leak a new fact into the comparison domain);
+/// covering's yields a world containing the facts; missing's and escape's a world that
+/// misses a fact or has one outside the instance.
+pub(crate) fn read_off(
+    verdict: Verdict,
+    db: &CDatabase,
+    request: &Instance,
+) -> (bool, Option<Binding>) {
+    let binding = verdict
+        .leaf
+        .and_then(|leaf| complete(leaf, db, &avoid_set(db, request)));
+    (verdict.found, binding)
+}
+
+/// A per-group memo entry for a certified disjunction (missing fact, escaping row): a
+/// found counter-world of the group, or the exhaustive search as the evidence that the
+/// group has none.
+pub(crate) fn counter_or_exhaustive(
+    verdict: Verdict,
+    gdb: &CDatabase,
+    part: &Instance,
+) -> (bool, Option<Certificate>) {
+    match read_off(verdict, gdb, part) {
+        (true, w) => (true, w.map(|w| Certificate::counter_world(valuation(w)))),
+        (false, _) => (false, Some(Certificate::Exhaustive)),
+    }
 }
 
 /// A generic satisfying valuation of the database — any world of `rep(db)`, with every
 /// unforced variable frozen to a distinct fresh constant.  `None` iff the globals are
 /// unsatisfiable.
-pub(crate) fn base_completion(db: &CDatabase, avoid: &BTreeSet<Constant>) -> Option<Binding> {
-    let mut store = base_store(db)?;
-    complete(&mut store, db, avoid)
+pub(crate) fn base_completion(
+    engine: &Engine,
+    db: &CDatabase,
+    avoid: &BTreeSet<Constant>,
+) -> Option<Binding> {
+    complete(engine.base_store(db)?, db, avoid)
 }
 
 /// Assign distinct fresh constants (outside `avoid`) to every database variable the
@@ -98,409 +121,16 @@ pub(crate) fn fill_unassigned(
     pairs
 }
 
-/// The schema gate every search applies first: populated relations must exist with the
-/// right arity.
-fn schema_compatible(db: &CDatabase, instance: &Instance) -> bool {
-    for (name, rel) in instance.iter() {
-        if rel.is_empty() {
-            continue;
-        }
-        match db.table(name) {
-            Some(t) if t.arity() == rel.arity() => {}
-            _ => return false,
-        }
-    }
-    true
-}
-
-/// Local copy of the engine's row-production assertion: the row's condition holds and
-/// its terms equal the (interned) fact position-wise.
-fn assert_row_produces(
-    store: &mut ConstraintSet,
-    row_terms: &[Term],
-    cond: &Conjunction,
-    fact: &[Sym],
-) -> bool {
-    if !store.assert_conjunction(cond) {
-        return false;
-    }
-    for (&term, &value) in row_terms.iter().zip(fact.iter()) {
-        if !store.assert_eq(term, Term::Const(value)) {
-            return false;
-        }
-    }
-    true
-}
-
-// ---------------------------------------------------------------------------------------
-// Membership: σ with σ(db) = instance (mirror of `membership::backtracking`).
-// ---------------------------------------------------------------------------------------
-
-/// A witness valuation for `instance ∈ rep(db)`, or `None` when there is none — the
-/// capture-as-decider mirror of [`crate::membership::backtracking`]: every row is mapped
-/// onto a fact (condition + equalities asserted) or declared absent (one condition atom
-/// falsified), all facts covered.  At an accepting leaf the completed store yields a
-/// valuation whose world is *exactly* `instance`: mapped rows produce their facts,
-/// absent rows keep a falsified atom, and free variables take fresh constants that
-/// cannot resurrect an absent row or leak a new fact into the comparison domain.
-pub(crate) fn member_witness(
-    db: &CDatabase,
-    instance: &Instance,
-    counter: &mut BudgetCounter,
-) -> Result<Option<Binding>, DecisionError> {
-    if !schema_compatible(db, instance) {
-        return Ok(None);
-    }
-    let Some(mut store) = base_store(db) else {
-        return Ok(None);
-    };
-
-    struct RowRef<'a> {
-        table: &'a pw_core::CTable,
-        row_idx: usize,
-        t_idx: usize,
-    }
-    let mut rows: Vec<RowRef<'_>> = Vec::new();
-    for (t_idx, table) in db.tables().iter().enumerate() {
-        for row_idx in 0..table.len() {
-            rows.push(RowRef {
-                table,
-                row_idx,
-                t_idx,
-            });
-        }
-    }
-    let mut fact_lists: Vec<Vec<Vec<Sym>>> = Vec::new();
-    for table in db.tables() {
-        let rel = instance.relation_or_empty(table.name(), table.arity());
-        fact_lists.push(rel.iter().map(|f| intern_fact(db, f)).collect());
-    }
-    let total_facts: usize = fact_lists.iter().map(Vec::len).sum();
-    let mut coverage: Vec<Vec<usize>> = fact_lists
-        .iter()
-        .map(|facts| vec![0usize; facts.len()])
-        .collect();
-    let avoid = avoid_set(db, instance);
-
-    struct Shape<'a> {
-        db: &'a CDatabase,
-        rows: Vec<RowRef<'a>>,
-        fact_lists: Vec<Vec<Vec<Sym>>>,
-        total_facts: usize,
-        avoid: BTreeSet<Constant>,
-    }
-
-    fn search(
-        shape: &Shape<'_>,
-        coverage: &mut Vec<Vec<usize>>,
-        covered_count: usize,
-        depth: usize,
-        store: &mut ConstraintSet,
-        counter: &mut BudgetCounter,
-    ) -> Result<Option<Binding>, DecisionError> {
-        counter.tick()?;
-        if depth == shape.rows.len() {
-            if covered_count == shape.total_facts {
-                return Ok(complete(store, shape.db, &shape.avoid));
-            }
-            return Ok(None);
-        }
-        if shape.total_facts - covered_count > shape.rows.len() - depth {
-            return Ok(None);
-        }
-        let row_ref = &shape.rows[depth];
-        let row = &row_ref.table.tuples()[row_ref.row_idx];
-        let t_idx = row_ref.t_idx;
-
-        // Option 1: map the row onto a fact of its relation.
-        for f_idx in 0..shape.fact_lists[t_idx].len() {
-            let fact = &shape.fact_lists[t_idx][f_idx];
-            let cp = store.checkpoint();
-            if assert_row_produces(store, &row.terms, &row.condition, fact) {
-                coverage[t_idx][f_idx] += 1;
-                let newly = coverage[t_idx][f_idx] == 1;
-                let result = search(
-                    shape,
-                    coverage,
-                    covered_count + usize::from(newly),
-                    depth + 1,
-                    store,
-                    counter,
-                );
-                coverage[t_idx][f_idx] -= 1;
-                store.rollback(cp);
-                if let Some(w) = result? {
-                    return Ok(Some(w));
-                }
-            } else {
-                store.rollback(cp);
-            }
-        }
-
-        // Option 2: the row is absent — one atom of its condition falsified.
-        for &atom in row.condition.atoms() {
-            let cp = store.checkpoint();
-            let negated_ok = match atom {
-                Atom::Eq(a, b) => store.assert_neq(a, b),
-                Atom::Neq(a, b) => store.assert_eq(a, b),
-            };
-            if negated_ok {
-                let result = search(shape, coverage, covered_count, depth + 1, store, counter);
-                store.rollback(cp);
-                if let Some(w) = result? {
-                    return Ok(Some(w));
-                }
-            } else {
-                store.rollback(cp);
-            }
-        }
-        Ok(None)
-    }
-
-    let shape = Shape {
-        db,
-        rows,
-        fact_lists,
-        total_facts,
-        avoid,
-    };
-    search(&shape, &mut coverage, 0, 0, &mut store, counter)
-}
-
-// ---------------------------------------------------------------------------------------
-// Covering (possibility): σ with facts ⊆ σ(db) (mirror of the engine's CoverSearch).
-// ---------------------------------------------------------------------------------------
-
-/// A valuation under which every fact of `facts` is produced by a distinct row of its
-/// relation — the capture mirror of `Engine::exists_world_covering`.  Rows the search
-/// leaves free may produce extra facts under the completion; harmless, possibility only
-/// needs `facts ⊆ world`.
-pub(crate) fn cover_witness(
-    db: &CDatabase,
-    facts: &Instance,
-    counter: &mut BudgetCounter,
-) -> Result<Option<Binding>, DecisionError> {
-    if !schema_compatible(db, facts) {
-        return Ok(None);
-    }
-    let Some(mut store) = base_store(db) else {
-        return Ok(None);
-    };
-    let mut work: Vec<(usize, Vec<Sym>)> = Vec::new();
-    for (name, rel) in facts.iter() {
-        if let Some(pos) = db.table_position(name) {
-            for fact in rel.iter() {
-                work.push((pos, intern_fact(db, fact)));
-            }
-        }
-    }
-    let avoid = avoid_set(db, facts);
-    let mut used: Vec<(usize, usize)> = Vec::new();
-
-    fn rec(
-        db: &CDatabase,
-        work: &[(usize, Vec<Sym>)],
-        depth: usize,
-        used: &mut Vec<(usize, usize)>,
-        store: &mut ConstraintSet,
-        counter: &mut BudgetCounter,
-        avoid: &BTreeSet<Constant>,
-    ) -> Result<Option<Binding>, DecisionError> {
-        counter.tick()?;
-        if depth == work.len() {
-            return Ok(complete(store, db, avoid));
-        }
-        let (t_pos, fact) = &work[depth];
-        let table = &db.tables()[*t_pos];
-        for row_idx in 0..table.len() {
-            if used.contains(&(*t_pos, row_idx)) {
-                continue;
-            }
-            let cp = store.checkpoint();
-            let row = &table.tuples()[row_idx];
-            if assert_row_produces(store, &row.terms, &row.condition, fact) {
-                used.push((*t_pos, row_idx));
-                let result = rec(db, work, depth + 1, used, store, counter, avoid);
-                used.pop();
-                store.rollback(cp);
-                if let Some(w) = result? {
-                    return Ok(Some(w));
-                }
-            } else {
-                store.rollback(cp);
-            }
-        }
-        Ok(None)
-    }
-
-    rec(db, &work, 0, &mut used, &mut store, counter, &avoid)
-}
-
-// ---------------------------------------------------------------------------------------
-// Missing fact (certainty / uniqueness complement): σ whose world misses some fact.
-// ---------------------------------------------------------------------------------------
-
-/// A valuation under which **some** fact of `facts` is produced by *no* row of its
-/// relation — the capture mirror of `Engine::exists_world_missing_any_fact`.  A fact of
-/// a relation the database does not have is missing from every world; callers guarantee
-/// the representation is non-empty when they ask (the uncertified deciders handle the
-/// empty rep before reaching this search), so the base completion is the witness there.
-pub(crate) fn missing_witness(
-    db: &CDatabase,
-    facts: &Instance,
-    counter: &mut BudgetCounter,
-) -> Result<Option<Binding>, DecisionError> {
-    let avoid = avoid_set(db, facts);
-    let mut work: Vec<(usize, Vec<Sym>)> = Vec::new();
-    for (name, rel) in facts.iter() {
-        for fact in rel.iter() {
-            match db.table(name) {
-                Some(t) if t.arity() == fact.arity() => work.push((
-                    db.table_position(name).expect("table exists"),
-                    intern_fact(db, fact),
-                )),
-                _ => return Ok(base_completion(db, &avoid)),
-            }
-        }
-    }
-    if work.is_empty() {
-        return Ok(None);
-    }
-    let Some(base) = base_store(db) else {
-        return Ok(None);
-    };
-
-    fn rec(
-        db: &CDatabase,
-        t_pos: usize,
-        fact: &[Sym],
-        row_idx: usize,
-        store: &mut ConstraintSet,
-        counter: &mut BudgetCounter,
-        avoid: &BTreeSet<Constant>,
-    ) -> Result<Option<Binding>, DecisionError> {
-        counter.tick()?;
-        let table = &db.tables()[t_pos];
-        if row_idx == table.len() {
-            return Ok(complete(store, db, avoid));
-        }
-        let row = &table.tuples()[row_idx];
-        // Per row, a reason it does not produce the fact: one branch per position
-        // (differs there), then one per condition atom (falsified).
-        for k in 0..row.terms.len() + row.condition.len() {
-            let cp = store.checkpoint();
-            let ok = if k < row.terms.len() {
-                store.assert_neq(row.terms[k], Term::Const(fact[k]))
-            } else {
-                match row.condition.atoms()[k - row.terms.len()] {
-                    Atom::Eq(a, b) => store.assert_neq(a, b),
-                    Atom::Neq(a, b) => store.assert_eq(a, b),
-                }
-            };
-            if ok {
-                let result = rec(db, t_pos, fact, row_idx + 1, store, counter, avoid);
-                store.rollback(cp);
-                if let Some(w) = result? {
-                    return Ok(Some(w));
-                }
-            } else {
-                store.rollback(cp);
-            }
-        }
-        Ok(None)
-    }
-
-    for (t_pos, fact) in &work {
-        let mut store = base.clone();
-        if let Some(w) = rec(db, *t_pos, fact, 0, &mut store, counter, &avoid)? {
-            return Ok(Some(w));
-        }
-    }
-    Ok(None)
-}
-
-// ---------------------------------------------------------------------------------------
-// Escaping row (uniqueness complement): σ whose world has a fact outside the instance.
-// ---------------------------------------------------------------------------------------
-
-/// A valuation under which some row is present (its condition holds) and produces a
-/// fact **outside** `instance` — the capture mirror of
-/// `Engine::exists_world_with_fact_outside`: the row differs from every instance fact
-/// of its relation in at least one position.
-pub(crate) fn escape_witness(
-    db: &CDatabase,
-    instance: &Instance,
-    counter: &mut BudgetCounter,
-) -> Result<Option<Binding>, DecisionError> {
-    let Some(base) = base_store(db) else {
-        return Ok(None);
-    };
-    let avoid = avoid_set(db, instance);
-
-    fn rec(
-        db: &CDatabase,
-        terms: &[Term],
-        facts: &[Vec<Sym>],
-        fact_idx: usize,
-        store: &mut ConstraintSet,
-        counter: &mut BudgetCounter,
-        avoid: &BTreeSet<Constant>,
-    ) -> Result<Option<Binding>, DecisionError> {
-        counter.tick()?;
-        if fact_idx == facts.len() {
-            return Ok(complete(store, db, avoid));
-        }
-        let fact = &facts[fact_idx];
-        for k in 0..terms.len() {
-            let cp = store.checkpoint();
-            if store.assert_neq(terms[k], Term::Const(fact[k])) {
-                let result = rec(db, terms, facts, fact_idx + 1, store, counter, avoid);
-                store.rollback(cp);
-                if let Some(w) = result? {
-                    return Ok(Some(w));
-                }
-            } else {
-                store.rollback(cp);
-            }
-        }
-        Ok(None)
-    }
-
-    for table in db.tables() {
-        let rel = instance.relation_or_empty(table.name(), table.arity());
-        let facts: Vec<Vec<Sym>> = rel.iter().map(|f| intern_fact(db, f)).collect();
-        for row in table.tuples() {
-            let mut store = base.clone();
-            if !store.assert_conjunction(&row.condition) {
-                continue;
-            }
-            if let Some(w) = rec(db, &row.terms, &facts, 0, &mut store, counter, &avoid)? {
-                return Ok(Some(w));
-            }
-        }
-    }
-    Ok(None)
-}
-
 // ---------------------------------------------------------------------------------------
 // Codd matching: witnesses for the polynomial membership / possibility algorithms.
 // ---------------------------------------------------------------------------------------
-
-/// Can some valuation map this (Codd) row onto the (interned) fact?
-fn row_unifies(terms: &[Term], fact: &[Sym]) -> bool {
-    terms.len() == fact.len()
-        && terms.iter().zip(fact.iter()).all(|(t, c)| match t {
-            Term::Const(tc) => tc == c,
-            Term::Var(_) => true,
-        })
-}
 
 /// A membership witness from the matching algorithm (Theorem 3.1(1)): matched rows take
 /// their fact's values; an unmatched row is folded onto *some* fact it unifies with
 /// (one exists — the algorithm rejects otherwise), so its production stays inside the
 /// instance.  Codd variables occur once each, so the per-position assignments never
 /// conflict and jointly cover the database's variables.
-pub(crate) fn codd_member_witness(db: &CDatabase, instance: &Instance) -> Option<Binding> {
+pub(crate) fn codd_membership_witness(db: &CDatabase, instance: &Instance) -> Option<Binding> {
     if !schema_compatible(db, instance) {
         return None;
     }
@@ -512,7 +142,7 @@ pub(crate) fn codd_member_witness(db: &CDatabase, instance: &Instance) -> Option
         let mut first_unifier: Vec<Option<usize>> = vec![None; table.len()];
         for (j, row) in table.tuples().iter().enumerate() {
             for (i, fact) in facts.iter().enumerate() {
-                if row_unifies(&row.terms, fact) {
+                if row_unifies_with_fact(&row.terms, fact) {
                     graph.add_edge(i, j);
                     if first_unifier[j].is_none() {
                         first_unifier[j] = Some(i);
@@ -547,7 +177,7 @@ pub(crate) fn codd_member_witness(db: &CDatabase, instance: &Instance) -> Option
 /// their fact's values, every other variable is frozen to a distinct fresh constant —
 /// the extra facts those free rows produce are outside the comparison and possibility
 /// only needs `facts ⊆ world`.
-pub(crate) fn codd_cover_witness(db: &CDatabase, facts: &Instance) -> Option<Binding> {
+pub(crate) fn codd_possibility_witness(db: &CDatabase, facts: &Instance) -> Option<Binding> {
     let mut pairs: Binding = Vec::new();
     for (name, rel) in facts.iter() {
         if rel.is_empty() {
@@ -561,7 +191,7 @@ pub(crate) fn codd_cover_witness(db: &CDatabase, facts: &Instance) -> Option<Bin
         let mut graph = BipartiteGraph::new(interned.len(), table.len());
         for (j, row) in table.tuples().iter().enumerate() {
             for (i, fact) in interned.iter().enumerate() {
-                if row_unifies(&row.terms, fact) {
+                if row_unifies_with_fact(&row.terms, fact) {
                     graph.add_edge(i, j);
                 }
             }
@@ -599,36 +229,40 @@ pub(crate) fn no_world_cert(db: &CDatabase) -> Certificate {
     }
 }
 
-/// Conjunctive per-shard witness extraction (membership, covering): run `group_witness`
+/// Conjunctive per-shard witness extraction (membership, covering): run `group_search`
 /// on every shard group through the certificate-aware memo, and merge the per-group
 /// bindings by union — groups are variable-disjoint, so the merged binding is a single
-/// valuation whose restriction to each group is that group's witness.  Returns
-/// `(false, None)` as soon as one group fails (the caller derives the no-certificate at
-/// the view level) and `(true, None)` if a replayed entry carries an unusable
-/// certificate shape (defensive; the memo only replays entries this module stored).
+/// valuation whose restriction to each group is that group's witness.  The groups drain
+/// one budget pool through forked contexts, exactly like the uncertified conjunctions.
+/// Returns `(false, None)` as soon as one group fails (the caller derives the
+/// no-certificate at the view level) and `(true, None)` if a group's answer carries no
+/// usable witness (defensive; certified searches always keep their accepting leaf).
 pub(crate) fn per_shard_witness(
     db: &CDatabase,
     request: &Instance,
     engine: &Engine,
     op: MemoOp,
-    mut group_witness: impl FnMut(
+    mut group_search: impl FnMut(
         &CDatabase,
         &Instance,
-        &mut BudgetCounter,
-    ) -> Result<Option<Binding>, DecisionError>,
+        &Ctx,
+    ) -> Result<(bool, Option<Binding>), DecisionError>,
 ) -> Result<(bool, Option<Binding>), DecisionError> {
     let Some(parts) = crate::engine::split_by_group(db, request) else {
         return Ok((false, None));
     };
-    let mut counter = engine.config().counter();
+    let ctx = engine.ctx();
     let mut merged: Binding = Vec::new();
     for (group, part) in db.shard_groups().iter().zip(&parts) {
         let gdb = group.database();
         let (ok, cert) = engine.memo_certified(op, gdb, part, None, || {
-            Ok(match group_witness(gdb, part, &mut counter)? {
-                Some(w) => (true, Some(Certificate::witness(valuation(w)))),
-                None => (false, Some(no_world_cert(gdb))),
-            })
+            let (found, w) = group_search(gdb, part, &ctx.fork())?;
+            let cert = if found {
+                w.map(|w| Certificate::witness(valuation(w)))
+            } else {
+                Some(no_world_cert(gdb))
+            };
+            Ok((found, cert))
         })?;
         if !ok {
             return Ok((false, None));
@@ -648,6 +282,7 @@ pub(crate) fn per_shard_witness(
 /// `None` iff some other group's globals are unsatisfiable, which the per-shard
 /// dispatchers rule out before searching.
 pub(crate) fn stitch_counter_world(
+    engine: &Engine,
     db: &CDatabase,
     g_idx: usize,
     mut witness: Binding,
@@ -657,7 +292,7 @@ pub(crate) fn stitch_counter_world(
             continue;
         }
         let odb = other.database();
-        witness.extend(base_completion(odb, &odb.constants())?);
+        witness.extend(base_completion(engine, odb, &odb.constants())?);
     }
     Some(witness)
 }
@@ -666,18 +301,38 @@ pub(crate) fn stitch_counter_world(
 mod tests {
     use super::*;
     use crate::common::Budget;
+    use crate::engine::tests::configs;
+    use crate::engine::EngineConfig;
     use pw_condition::{Atom, Conjunction, Term, VarGen};
     use pw_core::{CTable, CTuple};
     use pw_relational::rel;
 
-    fn counter() -> BudgetCounter {
-        Budget(1_000_000).counter()
+    /// Certifying engines at every test thread count, plus the static frontier
+    /// scheduler, so the leaf capture is exercised on the sequential DFS, the stealing
+    /// workers and the frontier expansion alike.
+    fn certified_engines() -> Vec<Engine> {
+        configs()
+            .into_iter()
+            .chain([EngineConfig::with_threads(4, Budget(1_000_000)).without_work_stealing()])
+            .map(|cfg| Engine::new(cfg.certified()))
+            .collect()
     }
 
     fn world(db: &CDatabase, pairs: Binding) -> Instance {
         valuation(pairs)
             .world_of(db)
             .expect("extracted valuations are total and satisfying")
+    }
+
+    /// The world of the valuation read off a certified search, or `None` when the
+    /// search found nothing.
+    fn leaf_world(
+        db: &CDatabase,
+        request: &Instance,
+        verdict: Result<Verdict, DecisionError>,
+    ) -> Option<Instance> {
+        let (found, w) = read_off(verdict.unwrap(), db, request);
+        found.then(|| world(db, w.expect("a certified search keeps its accepting leaf")))
     }
 
     #[test]
@@ -696,21 +351,20 @@ mod tests {
         )
         .unwrap();
         let db = CDatabase::single(t);
-        for inst in [
-            Instance::single("R", rel![[1]]),
-            Instance::single("R", rel![[2]]),
-        ] {
-            let w = member_witness(&db, &inst, &mut counter()).unwrap().unwrap();
-            assert!(world(&db, w).same_facts(&inst));
+        let member = |engine: &Engine, inst: &Instance| {
+            let verdict = crate::membership::backtracking_ctx(&db, inst, engine, &engine.ctx());
+            leaf_world(&db, inst, verdict)
+        };
+        for engine in certified_engines() {
+            for inst in [
+                Instance::single("R", rel![[1]]),
+                Instance::single("R", rel![[2]]),
+            ] {
+                assert!(member(&engine, &inst).unwrap().same_facts(&inst));
+            }
+            assert!(member(&engine, &Instance::single("R", rel![[1], [2]])).is_none());
+            assert!(member(&engine, &Instance::new()).is_none());
         }
-        assert!(
-            member_witness(&db, &Instance::single("R", rel![[1], [2]]), &mut counter())
-                .unwrap()
-                .is_none()
-        );
-        assert!(member_witness(&db, &Instance::new(), &mut counter())
-            .unwrap()
-            .is_none());
     }
 
     #[test]
@@ -726,16 +380,14 @@ mod tests {
         .unwrap();
         let db = CDatabase::single(t);
         let facts = Instance::single("R", rel![[1], [2]]);
-        let w = cover_witness(&db, &facts, &mut counter()).unwrap().unwrap();
-        assert!(facts.is_subinstance_of(&world(&db, w)));
-        // x ≠ y forbids both rows collapsing onto three distinct facts with two rows.
-        assert!(cover_witness(
-            &db,
-            &Instance::single("R", rel![[1], [2], [3]]),
-            &mut counter()
-        )
-        .unwrap()
-        .is_none());
+        let three = Instance::single("R", rel![[1], [2], [3]]);
+        for engine in certified_engines() {
+            let verdict = engine.covering_ctx(&db, &facts, &engine.ctx());
+            assert!(facts.is_subinstance_of(&leaf_world(&db, &facts, verdict).unwrap()));
+            // Two rows can never cover three distinct facts.
+            let verdict = engine.covering_ctx(&db, &three, &engine.ctx());
+            assert!(leaf_world(&db, &three, verdict).is_none());
+        }
     }
 
     #[test]
@@ -751,18 +403,21 @@ mod tests {
         )
         .unwrap();
         let db = CDatabase::single(t);
-        let facts = Instance::single("R", rel![[5]]);
-        let w = missing_witness(&db, &facts, &mut counter())
-            .unwrap()
-            .unwrap();
-        assert!(!facts.is_subinstance_of(&world(&db, w)));
         // A constant row can never be missing.
         let forced = CDatabase::single(CTable::codd("R", 1, [vec![Term::constant(1)]]).unwrap());
-        assert!(
-            missing_witness(&forced, &Instance::single("R", rel![[1]]), &mut counter())
-                .unwrap()
-                .is_none()
-        );
+        let one = Instance::single("R", rel![[1]]);
+        // A fact of a relation the database does not have is missing from every world,
+        // and the witness is any world at all.
+        let elsewhere = Instance::single("S", rel![[5]]);
+        for engine in certified_engines() {
+            for facts in [Instance::single("R", rel![[5]]), elsewhere.clone()] {
+                let verdict = engine.missing_any_ctx(&db, &facts, &engine.ctx());
+                let missed = leaf_world(&db, &facts, verdict).unwrap();
+                assert!(!facts.is_subinstance_of(&missed));
+            }
+            let verdict = engine.missing_any_ctx(&forced, &one, &engine.ctx());
+            assert!(leaf_world(&forced, &one, verdict).is_none());
+        }
     }
 
     #[test]
@@ -772,17 +427,32 @@ mod tests {
         let t = CTable::codd("R", 1, [vec![Term::Var(x)]]).unwrap();
         let db = CDatabase::single(t);
         let inst = Instance::single("R", rel![[1]]);
-        let w = escape_witness(&db, &inst, &mut counter()).unwrap().unwrap();
-        let escaped = world(&db, w);
-        assert!(
-            !escaped.same_facts(&inst),
-            "the row escaped to a fresh value"
-        );
         // A ground database can never escape its own instance.
         let ground = CDatabase::single(CTable::codd("R", 1, [vec![Term::constant(1)]]).unwrap());
-        assert!(escape_witness(&ground, &inst, &mut counter())
-            .unwrap()
-            .is_none());
+        for engine in certified_engines() {
+            let verdict = engine.fact_outside_ctx(&db, &inst, &engine.ctx());
+            let escaped = leaf_world(&db, &inst, verdict).unwrap();
+            assert!(
+                !escaped.same_facts(&inst),
+                "the row escaped to a fresh value"
+            );
+            let verdict = engine.fact_outside_ctx(&ground, &inst, &engine.ctx());
+            assert!(leaf_world(&ground, &inst, verdict).is_none());
+        }
+    }
+
+    #[test]
+    fn uncertified_searches_keep_no_leaf() {
+        let mut g = VarGen::new();
+        let x = g.fresh();
+        let db = CDatabase::single(CTable::codd("R", 1, [vec![Term::Var(x)]]).unwrap());
+        let facts = Instance::single("R", rel![[1]]);
+        for cfg in configs() {
+            let engine = Engine::new(cfg);
+            let verdict = engine.covering_ctx(&db, &facts, &engine.ctx()).unwrap();
+            assert!(verdict.found);
+            assert!(verdict.leaf.is_none(), "capture is off unless certifying");
+        }
     }
 
     #[test]
@@ -800,13 +470,13 @@ mod tests {
         .unwrap();
         let db = CDatabase::single(t);
         let inst = Instance::single("R", rel![[0, 2], [3, 1]]);
-        let w = codd_member_witness(&db, &inst).unwrap();
+        let w = codd_membership_witness(&db, &inst).unwrap();
         assert!(world(&db, w).same_facts(&inst));
-        assert!(codd_member_witness(&db, &Instance::single("R", rel![[1, 1]])).is_none());
+        assert!(codd_membership_witness(&db, &Instance::single("R", rel![[1, 1]])).is_none());
 
         // Possibility: one fact covered, the other row roams free.
         let facts = Instance::single("R", rel![[0, 7]]);
-        let w = codd_cover_witness(&db, &facts).unwrap();
+        let w = codd_possibility_witness(&db, &facts).unwrap();
         assert!(facts.is_subinstance_of(&world(&db, w)));
     }
 
@@ -824,8 +494,6 @@ mod tests {
             .unwrap(),
         );
         let avoid = sat.constants();
-        let w = base_completion(&sat, &avoid).unwrap();
-        assert_eq!(world(&sat, w), Instance::single("R", rel![[1]]));
         let unsat = CDatabase::single(
             CTable::g_table(
                 "R",
@@ -835,6 +503,10 @@ mod tests {
             )
             .unwrap(),
         );
-        assert!(base_completion(&unsat, &avoid).is_none());
+        for engine in certified_engines() {
+            let w = base_completion(&engine, &sat, &avoid).unwrap();
+            assert_eq!(world(&sat, w), Instance::single("R", rel![[1]]));
+            assert!(base_completion(&engine, &unsat, &avoid).is_none());
+        }
     }
 }

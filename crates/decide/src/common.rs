@@ -1,9 +1,9 @@
-//! Shared infrastructure of the decision procedures: search budgets, strategy reporting and
-//! the canonical valuation enumerator behind the generic exponential fallbacks.
+//! Shared infrastructure of the decision procedures: search budgets, limits, failure
+//! taxonomy and strategy reporting.  The searches themselves — including the canonical
+//! valuation enumeration behind the generic exponential fallbacks — live in
+//! [`crate::engine`].
 
-use pw_condition::Variable;
-use pw_core::{CDatabase, Certificate, Valuation};
-use pw_relational::domain::fresh_constants;
+use pw_core::{CDatabase, Certificate};
 use pw_relational::Constant;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -130,17 +130,6 @@ pub struct Budget(pub u64);
 impl Default for Budget {
     fn default() -> Self {
         Budget(50_000_000)
-    }
-}
-
-impl Budget {
-    /// Create a counter that can be decremented during a search.
-    pub fn counter(self) -> BudgetCounter {
-        BudgetCounter {
-            remaining: self.0,
-            spent: 0,
-            limits: Limits::default(),
-        }
     }
 }
 
@@ -367,116 +356,6 @@ impl Limits {
     }
 }
 
-/// A mutable countdown handed to recursive searches, optionally carrying the same
-/// slow-path `Limits` as the parallel engine's shared budget — so the sequential
-/// backtracking paths honor deadlines, cancellation and fault plans too.
-#[derive(Clone, Debug)]
-pub struct BudgetCounter {
-    remaining: u64,
-    spent: u64,
-    limits: Limits,
-}
-
-impl BudgetCounter {
-    /// Charge one unit; errors when the budget is exhausted, the deadline has passed,
-    /// or the counter's cancel token fired (deadline/cancel are polled on an amortized
-    /// slow path every `LIMIT_CHECK_MASK + 1` units).
-    pub fn tick(&mut self) -> Result<(), DecisionError> {
-        if self.remaining == 0 {
-            return Err(DecisionError::BudgetExceeded);
-        }
-        self.remaining -= 1;
-        self.spent += 1;
-        if self.spent & LIMIT_CHECK_MASK == 0 && !self.limits.is_empty() {
-            self.limits.check(self.spent)?;
-        }
-        Ok(())
-    }
-
-    /// Remaining units.
-    pub fn remaining(&self) -> u64 {
-        self.remaining
-    }
-
-    /// Write back the pool after a search ran against an engine-owned shared budget
-    /// seeded from this counter (see the wrappers in [`crate::search`]).
-    pub(crate) fn set_remaining(&mut self, remaining: u64) {
-        self.remaining = remaining;
-    }
-
-    /// Attach slow-path limits (used by [`crate::engine::EngineConfig::counter`]).
-    pub(crate) fn with_limits(mut self, limits: Limits) -> Self {
-        self.limits = limits;
-        self
-    }
-
-    /// The counter's limits, for seeding an engine context that continues this search
-    /// (see [`crate::search`]'s wrappers).
-    pub(crate) fn limits(&self) -> &Limits {
-        &self.limits
-    }
-}
-
-/// Enumerate the *canonical* valuations of `vars` into Δ ∪ Δ′ and feed each to `visit`
-/// until it returns `Some(r)`.
-///
-/// Canonicity: fresh (Δ′) constants are introduced in a fixed order — a variable may be
-/// mapped to the i-th fresh constant only if fresh constants `0..i` are already in use by
-/// earlier variables.  Every valuation into Δ ∪ Δ′ is the composition of a canonical one
-/// with a permutation of Δ′; since the decision problems below only compare query outputs
-/// against facts over Δ (and QPTIME queries are generic), restricting to canonical
-/// valuations is sound and complete, exactly as in the proof of Proposition 2.1.
-pub fn for_each_canonical_valuation<R>(
-    vars: &[Variable],
-    delta: &BTreeSet<Constant>,
-    budget: &mut BudgetCounter,
-    mut visit: impl FnMut(&Valuation) -> Option<R>,
-) -> Result<Option<R>, DecisionError> {
-    let fresh = fresh_constants(delta, vars.len());
-    let delta: Vec<Constant> = delta.iter().cloned().collect();
-    let mut assignment: Vec<Constant> = Vec::with_capacity(vars.len());
-
-    fn rec<R>(
-        vars: &[Variable],
-        delta: &[Constant],
-        fresh: &[Constant],
-        assignment: &mut Vec<Constant>,
-        fresh_used: usize,
-        budget: &mut BudgetCounter,
-        visit: &mut impl FnMut(&Valuation) -> Option<R>,
-    ) -> Result<Option<R>, DecisionError> {
-        if assignment.len() == vars.len() {
-            budget.tick()?;
-            let valuation =
-                Valuation::from_pairs(vars.iter().copied().zip(assignment.iter().cloned()));
-            return Ok(visit(&valuation));
-        }
-        // Known constants first …
-        for c in delta {
-            assignment.push(c.clone());
-            let r = rec(vars, delta, fresh, assignment, fresh_used, budget, visit)?;
-            assignment.pop();
-            if r.is_some() {
-                return Ok(r);
-            }
-        }
-        // … then previously used fresh constants, and at most one new fresh constant.
-        let fresh_limit = (fresh_used + 1).min(fresh.len());
-        for (i, c) in fresh.iter().enumerate().take(fresh_limit) {
-            assignment.push(c.clone());
-            let new_used = fresh_used.max(i + 1);
-            let r = rec(vars, delta, fresh, assignment, new_used, budget, visit)?;
-            assignment.pop();
-            if r.is_some() {
-                return Ok(r);
-            }
-        }
-        Ok(None)
-    }
-
-    rec(vars, &delta, &fresh, &mut assignment, 0, budget, &mut visit)
-}
-
 /// The evaluation domain Δ for a database plus extra constants (those of the instance,
 /// fact set or query the caller is comparing against).
 pub fn evaluation_delta(
@@ -496,27 +375,31 @@ pub use pw_core::{freeze_database, normalize_database};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pw_condition::VarGen;
+    use crate::engine::tests::engines;
+    use crate::engine::{Engine, EngineConfig};
+    use pw_condition::{VarGen, Variable};
+    use pw_relational::Symbols;
+    use std::sync::atomic::AtomicUsize;
 
     #[test]
     fn canonical_enumeration_counts() {
         let mut g = VarGen::new();
         let vars: Vec<Variable> = (0..3).map(|_| g.fresh()).collect();
         let delta: BTreeSet<Constant> = [Constant::int(7)].into();
-        let mut counter = Budget(1_000_000).counter();
-        let mut count = 0usize;
-        for_each_canonical_valuation(&vars, &delta, &mut counter, |_| {
-            count += 1;
-            None::<()>
-        })
-        .unwrap();
-        // With |Δ| = 1 the canonical valuations of 3 variables are the set partitions
-        // refined by "equals 7 or not": v1 ∈ {7, f0}; etc.  Explicitly: 1·… =
-        // choices: (1+1)·(1+used+1)… — just assert the exact value computed by hand:
-        // v0: {7, f0} = 2; if v0=7 then v1: {7, f0}=2 else v1: {7, f0, f1}=3 …
-        // Total = 2·(2·(2..3)) = enumerate: 7,7,{7,f0}=2; 7,f0,{7,f0,f1}=3; f0,7,{7,f0,f1}=3;
-        // f0,f0,{7,f0,f1}=3; f0,f1,{7,f0,f1,f2}=4  → 2+3+3+3+4 = 15.
-        assert_eq!(count, 15);
+        for engine in engines() {
+            let count = AtomicUsize::new(0);
+            engine
+                .find_canonical_valuation(Symbols::global(), &vars, &delta, |_| {
+                    count.fetch_add(1, Ordering::Relaxed);
+                    None::<()>
+                })
+                .unwrap();
+            // With |Δ| = 1 each variable takes 7, a fresh constant already in use, or the
+            // next fresh one: 7,7,{7,f0}=2; 7,f0,{7,f0,f1}=3; f0,7,{7,f0,f1}=3;
+            // f0,f0,{7,f0,f1}=3; f0,f1,{7,f0,f1,f2}=4  → 2+3+3+3+4 = 15, on every thread
+            // count.
+            assert_eq!(count.into_inner(), 15);
+        }
     }
 
     #[test]
@@ -524,15 +407,21 @@ mod tests {
         let mut g = VarGen::new();
         let vars: Vec<Variable> = (0..2).map(|_| g.fresh()).collect();
         let delta: BTreeSet<Constant> = [Constant::int(1), Constant::int(2)].into();
-        let mut counter = Budget(1000).counter();
-        let mut seen = 0usize;
-        let result = for_each_canonical_valuation(&vars, &delta, &mut counter, |v| {
-            seen += 1;
-            (v.get(vars[0]) == Some(Constant::int(2))).then_some("found")
-        })
-        .unwrap();
-        assert_eq!(result, Some("found"));
-        assert!(seen < 12, "stopped before exhausting all valuations");
+        // The tree has 10 leaves: v0 ∈ {1, 2, f0}, then 3, 3 and 4 choices for v1.
+        for engine in engines() {
+            let seen = AtomicUsize::new(0);
+            let result = engine
+                .find_canonical_valuation(Symbols::global(), &vars, &delta, |v| {
+                    seen.fetch_add(1, Ordering::Relaxed);
+                    (v.get(vars[0]) == Some(Constant::int(2))).then_some("found")
+                })
+                .unwrap();
+            assert_eq!(result, Some("found"));
+            if engine.config().threads == 1 {
+                // Sequentially the first witness is (2, 1), the 4th leaf in order.
+                assert_eq!(seen.into_inner(), 4, "stopped at the first witness");
+            }
+        }
     }
 
     #[test]
@@ -540,10 +429,20 @@ mod tests {
         let mut g = VarGen::new();
         let vars: Vec<Variable> = (0..6).map(|_| g.fresh()).collect();
         let delta: BTreeSet<Constant> = (0..6).map(Constant::int).collect();
-        let mut counter = Budget(100).counter();
-        let err = for_each_canonical_valuation(&vars, &delta, &mut counter, |_| None::<()>);
-        assert_eq!(err, Err(DecisionError::BudgetExceeded));
-        assert_eq!(counter.remaining(), 0);
+        for threads in [1, 2, 8] {
+            let engine = Engine::new(EngineConfig::with_threads(threads, Budget(100)));
+            let err =
+                engine.find_canonical_valuation(Symbols::global(), &vars, &delta, |_| None::<()>);
+            assert_eq!(err, Err(DecisionError::BudgetExceeded));
+        }
+        // The pool charges one unit per visited node and is empty when it reports
+        // exhaustion.
+        let pool = crate::engine::SharedBudget::new(Budget(100));
+        for spent in 1..=100 {
+            assert_eq!(pool.tick(), Ok(spent));
+        }
+        assert_eq!(pool.tick(), Err(BudgetExceeded));
+        assert_eq!(pool.remaining(), 0);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::common::{
 };
 use crate::engine::{Engine, EngineConfig};
 use crate::membership;
-use pw_core::{CDatabase, Certificate, PairCert, TableClass, View};
+use pw_core::{CDatabase, Certificate, PairCert, TableClass, Valuation, View};
 use pw_relational::Instance;
 use std::sync::Mutex;
 
@@ -34,13 +34,15 @@ pub fn decide(view0: &View, view: &View, budget: Budget) -> Result<bool, Decisio
 /// by default (a lopsided valuation tree re-splits under starving thieves); the static
 /// frontier split survives behind
 /// [`EngineConfig::without_work_stealing`](crate::EngineConfig::without_work_stealing).
+/// The freeze path's membership runs on the engine itself, under its budget, deadline,
+/// cancel token, fault plan and memo.
 ///
 /// Returns a [`Decision`] carrying the answer next to the [`Strategy`] that produced
 /// (or attempted) it, so the strategy survives a budget-exceeded search.
 pub fn decide_with(view0: &View, view: &View, engine: &Engine) -> Decision {
     let strategy = strategy_with(view0, view, engine.config().per_shard);
     let answer = match strategy {
-        Strategy::Freeze => freeze(&view0.db, &view.db, engine.config().budget),
+        Strategy::Freeze => freeze_with(&view0.db, &view.db, engine),
         Strategy::PerShard { .. } => per_shard(view0, view, engine),
         _ => forall_exists_with(view0, view, engine),
     };
@@ -68,55 +70,50 @@ pub(crate) fn decide_certified(view0: &View, view: &View, engine: &Engine) -> De
     match strategy {
         Strategy::Freeze => certified_freeze(view0, view, engine, strategy),
         Strategy::PerShard { .. } => certified_per_shard(view0, view, engine, strategy),
-        _ => certified_forall_exists(view0, view, engine, strategy),
+        _ => {
+            if !view0.db.has_satisfiable_globals() {
+                return Decision::certified(Ok(true), strategy, Some(Certificate::EmptyRep));
+            }
+            // The failing left valuation is the counter-world.
+            match counterexample(view0, view, engine) {
+                Err(e) => Decision::of(Err(e), strategy),
+                Ok(Some(v)) => {
+                    Decision::certified(Ok(false), strategy, Some(Certificate::counter_world(v)))
+                }
+                Ok(None) => Decision::certified(Ok(true), strategy, Some(Certificate::Exhaustive)),
+            }
+        }
     }
 }
 
 /// Certified twin of [`freeze`]: the same normalize → freeze → membership pipeline, with
-/// the inner membership extracting the witness valuation the checker replays (it
+/// the witness valuation the checker replays read off the inner membership (the checker
 /// recomputes K₀ itself, so the certificate carries only the right-side valuation).
 fn certified_freeze(view0: &View, view: &View, engine: &Engine, strategy: Strategy) -> Decision {
     let Some(normalized) = normalize_database(&view0.db) else {
         return Decision::certified(Ok(true), strategy, Some(Certificate::EmptyRep));
     };
     let (k0, _fresh) = freeze_database(&normalized, &view.db.constants());
-    let witness = if view.db.is_decoupled_codd() {
-        Ok(certify::codd_member_witness(&view.db, &k0))
-    } else if view.db.shard_groups().len() > 1 {
-        // Mirror the membership dispatch `freeze` delegates to: per-group searches
-        // through the certificate-aware memo, merged into one right-side binding.
-        match membership::certified_per_shard_member(&view.db, &k0, engine) {
-            Ok((true, Some(w))) => Ok(Some(certify::fill_unassigned(
-                &view.db,
-                w,
-                &certify::avoid_set(&view.db, &k0),
-            ))),
-            Ok((true, None)) => {
-                // Replayed without a usable witness shape — the answer stands, the
-                // certificate does not.
-                return Decision::of(Ok(true), strategy);
-            }
-            Ok((false, _)) => Ok(None),
-            Err(e) => Err(e),
+    match membership::witness(&view.db, &k0, engine, membership::strategy(&view.db)) {
+        Ok((true, Some(w))) => {
+            let w = certify::fill_unassigned(&view.db, w, &certify::avoid_set(&view.db, &k0));
+            Decision::certified(
+                Ok(true),
+                strategy,
+                Some(Certificate::FrozenMembership {
+                    witness: Box::new(Certificate::witness(certify::valuation(w))),
+                }),
+            )
         }
-    } else {
-        let mut counter = engine.config().counter();
-        certify::member_witness(&view.db, &k0, &mut counter)
-    };
-    match witness {
-        Ok(Some(w)) => Decision::certified(
-            Ok(true),
-            strategy,
-            Some(Certificate::FrozenMembership {
-                witness: Box::new(Certificate::witness(certify::valuation(w))),
-            }),
-        ),
-        Ok(None) => {
+        // Replayed without a usable witness shape — the answer stands, the certificate
+        // does not.
+        Ok((true, None)) => Decision::of(Ok(true), strategy),
+        Ok((false, _)) => {
             // K₀ itself (as a valuation of the left database) is the counter-world: its
             // genericity means no right-side valuation can reach it.
             let mut avoid = view0.db.constants();
             avoid.extend(view.db.constants());
-            let cert = certify::base_completion(&view0.db, &avoid)
+            let cert = certify::base_completion(engine, &view0.db, &avoid)
                 .map(|w| Certificate::counter_world(certify::valuation(w)));
             Decision::certified(Ok(false), strategy, cert)
         }
@@ -181,7 +178,8 @@ fn certified_per_shard(view0: &View, view: &View, engine: &Engine, strategy: Str
                 // with any world of every other left group.
                 let stitched = match cert {
                     Some(Certificate::CounterWorld { valuation }) => {
-                        certify::stitch_counter_world(&view0.db, g_idx, valuation.iter().collect())
+                        let w = valuation.iter().collect();
+                        certify::stitch_counter_world(engine, &view0.db, g_idx, w)
                             .map(|w| Certificate::counter_world(certify::valuation(w)))
                     }
                     _ => None,
@@ -193,51 +191,6 @@ fn certified_per_shard(view0: &View, view: &View, engine: &Engine, strategy: Str
     }
     let cert = all_certified.then_some(Certificate::Decomposition { pairs });
     Decision::certified(Ok(true), strategy, cert)
-}
-
-/// Certified twin of [`forall_exists_with`]: the enumeration captures the failing left
-/// valuation as the counter-world.
-fn certified_forall_exists(
-    view0: &View,
-    view: &View,
-    engine: &Engine,
-    strategy: Strategy,
-) -> Decision {
-    if !view0.db.has_satisfiable_globals() {
-        return Decision::certified(Ok(true), strategy, Some(Certificate::EmptyRep));
-    }
-    let vars: Vec<_> = view0.db.variables().into_iter().collect();
-    let mut delta = evaluation_delta(&view0.db, view.db.constants());
-    delta.extend(view0.query.constants());
-    delta.extend(view.query.constants());
-    let budget = engine.config().budget;
-    let inner_failure: Mutex<Option<DecisionError>> = Mutex::new(None);
-    let counterexample =
-        engine.find_canonical_valuation(view0.db.symbols(), &vars, &delta, |valuation| {
-            let world = valuation.world_of(&view0.db)?;
-            let left_output: Instance = view0.query.eval(&world);
-            match membership::view_membership(view, &left_output, budget) {
-                Ok(true) => None,
-                Ok(false) => Some(valuation.clone()),
-                Err(err) => {
-                    // Not a witness: this world's membership is unresolved.  Record
-                    // the failure and keep searching — another world may be a
-                    // definitive counterexample, which beats the failure.
-                    crate::engine::lock_unpoisoned(&inner_failure).get_or_insert(err);
-                    None
-                }
-            }
-        });
-    match counterexample {
-        Err(e) => Decision::of(Err(e), strategy),
-        Ok(Some(v)) => {
-            Decision::certified(Ok(false), strategy, Some(Certificate::counter_world(v)))
-        }
-        Ok(None) => match crate::engine::lock_unpoisoned(&inner_failure).take() {
-            Some(err) => Decision::of(Err(err), strategy),
-            None => Decision::certified(Ok(true), strategy, Some(Certificate::Exhaustive)),
-        },
-    }
 }
 
 fn strategy_with(view0: &View, view: &View, per_shard: bool) -> Strategy {
@@ -343,11 +296,17 @@ fn per_shard(view0: &View, view: &View, engine: &Engine) -> Result<bool, Decisio
 /// Codd-tables (PTIME overall), backtracking for e-tables (an NP call, as Theorem 4.1(2)
 /// promises).
 pub fn freeze(db0: &CDatabase, db: &CDatabase, budget: Budget) -> Result<bool, DecisionError> {
+    freeze_with(db0, db, &Engine::new(EngineConfig::sequential(budget)))
+}
+
+/// [`freeze`] on an explicit [`Engine`]: the membership test of K₀ runs under the
+/// engine's budget, limits and memo.
+fn freeze_with(db0: &CDatabase, db: &CDatabase, engine: &Engine) -> Result<bool, DecisionError> {
     let Some(normalized) = normalize_database(db0) else {
         return Ok(true); // rep(db0) = ∅ ⊆ anything
     };
     let (k0, _fresh) = freeze_database(&normalized, &db.constants());
-    membership::decide(db, &k0, budget)
+    membership::decide_with(db, &k0, engine)
 }
 
 /// Proposition 2.1(1): the general Π₂ᵖ procedure.  Every canonical valuation σ₀ of the left
@@ -372,19 +331,42 @@ pub fn forall_exists_with(
     if !view0.db.has_satisfiable_globals() {
         return Ok(true);
     }
+    Ok(counterexample(view0, view, engine)?.is_none())
+}
+
+/// The search behind [`forall_exists_with`]: a canonical valuation of the left database
+/// whose world, through `q₀`, is not a member of the right view — or `None` when there
+/// is none.  An inner membership failure on some world is reported only if no world is
+/// a counterexample.
+///
+/// The ∃ half runs on one inner engine per call, built from the caller's configuration:
+/// single-threaded (the enumeration already occupies the caller's threads), uncertified,
+/// and under the caller's cancel token, fault plan and deadline (which, like every search
+/// phase's, starts when the world's search starts).  Every world's membership search
+/// gets the full budget.  The worlds share the inner engine's
+/// sat-cache and base stores; its memo is capped at one entry, since every world asks
+/// about a different instance.
+fn counterexample(
+    view0: &View,
+    view: &View,
+    engine: &Engine,
+) -> Result<Option<Valuation>, DecisionError> {
     let vars: Vec<_> = view0.db.variables().into_iter().collect();
     let mut delta = evaluation_delta(&view0.db, view.db.constants());
     delta.extend(view0.query.constants());
     delta.extend(view.query.constants());
-    let budget = engine.config().budget;
+    let mut inner = engine.config().clone().with_memo_capacity(1);
+    inner.threads = 1;
+    inner.certify = false;
+    let inner = Engine::new(inner);
     let inner_failure: Mutex<Option<DecisionError>> = Mutex::new(None);
     let counterexample =
         engine.find_canonical_valuation(view0.db.symbols(), &vars, &delta, |valuation| {
             let world = valuation.world_of(&view0.db)?;
             let left_output: Instance = view0.query.eval(&world);
-            match membership::view_membership(view, &left_output, budget) {
+            match membership::view_membership_with(view, &left_output, &inner).answer {
                 Ok(true) => None,
-                Ok(false) => Some(()),
+                Ok(false) => Some(valuation.clone()),
                 Err(err) => {
                     // Not a witness: this world's membership is unresolved.  Keep
                     // searching — another world may be a definitive counterexample.
@@ -393,12 +375,10 @@ pub fn forall_exists_with(
                 }
             }
         })?;
-    if counterexample.is_some() {
-        Ok(false)
-    } else if let Some(err) = crate::engine::lock_unpoisoned(&inner_failure).take() {
-        Err(err)
-    } else {
-        Ok(true)
+    let failure = crate::engine::lock_unpoisoned(&inner_failure).take();
+    match failure {
+        Some(err) if counterexample.is_none() => Err(err),
+        _ => Ok(counterexample),
     }
 }
 

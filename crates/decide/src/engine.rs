@@ -1,9 +1,11 @@
 //! The parallel decision-engine substrate.
 //!
 //! The NP/coNP/Π₂ᵖ procedures of this crate are complete backtracking searches; on hard
-//! inputs they peg a single core while every other core idles.  This module extracts the
-//! valuation/constraint searches of [`crate::search`] and [`crate::common`] onto a shared
-//! substrate that can drive them with any number of worker threads:
+//! inputs they peg a single core while every other core idles.  This module is the shared
+//! substrate that drives all of them with any number of worker threads, and it holds the
+//! one implementation of the covering, missing-fact and escaping-row searches and of the
+//! canonical-valuation enumeration (membership's row assignment is defined in
+//! [`crate::membership`] and driven here):
 //!
 //! * **search nodes** carry a cheaply-forkable [`ConstraintSet`] (undo-trail based
 //!   checkpoint/rollback inside a worker, a real clone only when a node crosses threads);
@@ -28,7 +30,10 @@
 //! * a memoized, hash-consed **condition-satisfiability cache**
 //!   ([`pw_condition::SatCache`]) shared by all searches of an [`Engine`], plus memoized
 //!   per-database **base stores** (the global conditions asserted once, then cloned), which
-//!   is what the batched front door ([`crate::batch`]) amortizes across requests.
+//!   is what the batched front door ([`crate::batch`]) amortizes across requests;
+//! * **evidence capture**: under [`EngineConfig::certify`] the first accepting leaf keeps
+//!   its constraint store, so a certified decide reads its certificate off the search
+//!   that decided it instead of searching a second time.
 //!
 //! # Semantics under parallelism
 //!
@@ -47,8 +52,7 @@
 //!   that need bit-for-bit reproducibility at tight budgets run with `threads = 1`.
 
 use crate::common::{
-    Budget, BudgetCounter, BudgetExceeded, CancelToken, DecisionError, FaultPlan, Limits,
-    LIMIT_CHECK_MASK,
+    Budget, BudgetExceeded, CancelToken, DecisionError, FaultPlan, Limits, LIMIT_CHECK_MASK,
 };
 use pw_condition::Variable;
 use pw_condition::{Atom, Conjunction, ConstraintSet, SatCache, Term};
@@ -135,12 +139,14 @@ pub struct EngineConfig {
     pub per_shard: bool,
     /// Attach a [`pw_core::Certificate`] to every definite answer (see `pw_check` for
     /// the acceptance rules).  Off by default: certified decides pay for evidence
-    /// extraction — a bounded overhead (the bench harness tracks it), but not free.
+    /// extraction — every constraint search keeps its accepting leaf's store, and the
+    /// certificate is completed from it — a bounded overhead (the bench harness tracks
+    /// it), but not free.
     pub certify: bool,
 }
 
 impl EngineConfig {
-    /// A single-threaded configuration (identical behaviour to the legacy searches).
+    /// A single-threaded configuration: the sequential oracle every parallel run agrees with.
     pub fn sequential(budget: Budget) -> Self {
         EngineConfig {
             threads: 1,
@@ -244,13 +250,6 @@ impl EngineConfig {
             faults: self.faults.clone(),
         }
     }
-
-    /// A sequential budget counter carrying this configuration's limits, so the
-    /// sequential backtracking paths honor deadlines, cancellation and fault plans
-    /// exactly like the parallel engine does.
-    pub(crate) fn counter(&self) -> BudgetCounter {
-        self.budget.counter().with_limits(self.limits())
-    }
 }
 
 impl Default for EngineConfig {
@@ -261,9 +260,9 @@ impl Default for EngineConfig {
 
 /// An atomic search budget shared by all workers of a parallel search.
 ///
-/// The semantics match [`crate::common::BudgetCounter`]: one unit per visited search node,
-/// and the search fails with [`BudgetExceeded`] when the pool is empty — except that here
-/// the pool is drained concurrently, so a budget bounds the *total* work across threads.
+/// One unit per visited search node, and the search fails with [`BudgetExceeded`] when the
+/// pool is empty.  The pool is drained concurrently, so a budget bounds the *total* work
+/// across threads.
 #[derive(Debug)]
 pub struct SharedBudget {
     remaining: AtomicU64,
@@ -318,10 +317,10 @@ pub(crate) enum Stop {
 /// Shared per-search state: the budget pool and the early-exit flag.
 ///
 /// The pool lives behind an `Arc` so several *consecutive* searches can drain one budget
-/// (the legacy `search.rs` wrappers, the two halves of the uniqueness complement) and so
-/// a shard-group conjunction can give every group its own cancellation scope without
-/// splitting the pool: [`Ctx::fork`] shares the budget but resets the flag — a witness
-/// found in one group must stop *that group's* workers, not the next group's search.
+/// (the two halves of the uniqueness complement) and so a shard-group conjunction can
+/// give every group its own cancellation scope without splitting the pool: [`Ctx::fork`]
+/// shares the budget but resets the flag — a witness found in one group must stop *that
+/// group's* workers, not the next group's search.
 pub(crate) struct Ctx {
     budget: Arc<SharedBudget>,
     cancel: AtomicBool,
@@ -352,11 +351,6 @@ impl Ctx {
             cancel: AtomicBool::new(false),
             limits: self.limits.clone(),
         }
-    }
-
-    /// Unspent budget units, for writing back into a legacy [`crate::common::BudgetCounter`].
-    pub(crate) fn budget_remaining(&self) -> u64 {
-        self.budget.remaining()
     }
 
     /// Budget units spent so far (relaxed snapshot; see [`SharedBudget::spent`]).
@@ -516,9 +510,8 @@ pub struct EngineStats {
 }
 
 /// Drive a [`TreeSearch`] against an externally owned context, so several searches can
-/// share one budget pool (the legacy `search.rs` entry points thread a single
-/// [`crate::common::BudgetCounter`] through consecutive searches this way).  Dispatches
-/// on the configuration: sequential, work-stealing (the default parallel path) or the
+/// share one budget pool (the uniqueness complement threads one context through its two
+/// halves this way).  Dispatches on the configuration: sequential, work-stealing (the default parallel path) or the
 /// static frontier split ([`EngineConfig::without_work_stealing`]).
 pub(crate) fn drive_ctx<S: TreeSearch>(
     search: &S,
@@ -1018,6 +1011,23 @@ pub(crate) fn single_fact_instance(relation: &str, fact: &Tuple) -> Instance {
     single
 }
 
+/// What one constraint search decided.  `found` is the verdict; `leaf` is the store of
+/// the accepting leaf that decided it — every assertion its branch made over the base
+/// store — kept only when the engine certifies ([`EngineConfig::certify`]), so
+/// [`crate::certify::complete`] can extend it to the certificate's total valuation.
+pub(crate) struct Verdict {
+    pub(crate) found: bool,
+    pub(crate) leaf: Option<ConstraintSet>,
+}
+
+impl Verdict {
+    /// No accepting leaf exists.
+    pub(crate) const NOT_FOUND: Verdict = Verdict {
+        found: false,
+        leaf: None,
+    };
+}
+
 // ---------------------------------------------------------------------------------------
 // The engine proper.
 // ---------------------------------------------------------------------------------------
@@ -1453,14 +1463,15 @@ impl Engine {
     // -- the three constraint searches ---------------------------------------------------
 
     /// Is there a valuation (satisfying the global conditions) under which every fact of
-    /// `facts` is produced by some row of its relation?  Parallel counterpart of
-    /// [`crate::search::exists_world_covering`].
+    /// `facts` is produced by some row of its relation?  This is the core of the
+    /// possibility problem: the produced world then *contains* `facts` (other rows may add
+    /// more facts, which is allowed).
     pub fn exists_world_covering(
         &self,
         db: &CDatabase,
         facts: &Instance,
     ) -> Result<bool, DecisionError> {
-        self.covering_ctx(db, facts, &self.ctx())
+        Ok(self.covering_ctx(db, facts, &self.ctx())?.found)
     }
 
     pub(crate) fn covering_ctx(
@@ -1468,18 +1479,18 @@ impl Engine {
         db: &CDatabase,
         facts: &Instance,
         ctx: &Ctx,
-    ) -> Result<bool, DecisionError> {
+    ) -> Result<Verdict, DecisionError> {
         for (name, rel) in facts.iter() {
             if rel.is_empty() {
                 continue;
             }
             match db.table(name) {
                 Some(t) if t.arity() == rel.arity() => {}
-                _ => return Ok(false),
+                _ => return Ok(Verdict::NOT_FOUND),
             }
         }
         let Some(store) = self.base_store(db) else {
-            return Ok(false);
+            return Ok(Verdict::NOT_FOUND);
         };
         let work: Vec<(&CTable, Vec<Sym>)> = facts
             .iter()
@@ -1497,7 +1508,7 @@ impl Engine {
                 used: None,
             },
         };
-        drive_ctx(&Choices(&search), root, &self.cfg, ctx, &self.stats)
+        self.drive_choices(&search, root, ctx)
     }
 
     /// Is there a valuation under which **some** fact of `facts` is produced by no row of
@@ -1505,14 +1516,16 @@ impl Engine {
     /// uniqueness); the per-fact searches are independent subtrees, so a multi-fact call
     /// parallelizes across facts *and* within each fact's tree.
     ///
-    /// Facts of relations the database does not have (or with the wrong arity) are missing
-    /// from every world, exactly as in the sequential search.
+    /// Per row the search picks a reason it does not produce the fact: one position of the
+    /// row differs from the fact, or one atom of its local condition is falsified.  Facts
+    /// of relations the database does not have (or with the wrong arity) are missing from
+    /// every world.
     pub fn exists_world_missing_any_fact(
         &self,
         db: &CDatabase,
         facts: &Instance,
     ) -> Result<bool, DecisionError> {
-        self.missing_any_ctx(db, facts, &self.ctx())
+        Ok(self.missing_any_ctx(db, facts, &self.ctx())?.found)
     }
 
     pub(crate) fn missing_any_ctx(
@@ -1520,29 +1533,35 @@ impl Engine {
         db: &CDatabase,
         facts: &Instance,
         ctx: &Ctx,
-    ) -> Result<bool, DecisionError> {
+    ) -> Result<Verdict, DecisionError> {
         let mut work: Vec<(&CTable, Vec<Sym>)> = Vec::new();
         for (name, rel) in facts.iter() {
             for fact in rel.iter() {
                 match db.table(name) {
                     Some(t) if t.arity() == fact.arity() => work.push((t, intern_fact(db, fact))),
-                    // No such relation: the fact is missing from every world.
-                    _ => return Ok(true),
+                    // No such relation: the fact is missing from every world, so the base
+                    // store — any world at all — is the accepting leaf.
+                    _ => {
+                        return Ok(Verdict {
+                            found: true,
+                            leaf: self.cfg.certify.then(|| self.base_store(db)).flatten(),
+                        })
+                    }
                 }
             }
         }
         if work.is_empty() {
-            return Ok(false);
+            return Ok(Verdict::NOT_FOUND);
         }
         let Some(base) = self.base_store(db) else {
             // Empty representation: no world exists, hence no world missing a fact either
             // (certainty is vacuously true); callers handle the empty rep separately.
-            return Ok(false);
+            return Ok(Verdict::NOT_FOUND);
         };
         let search = MissingSearch { work };
-        let driver = Choices(&search);
+        let choices = Choices::new(&search, self.cfg.certify);
         let forest = ForestSearch {
-            inner: &driver,
+            inner: &choices,
             root_count: search.work.len(),
             make_root: |fact_idx| {
                 Some(ChoiceNode {
@@ -1554,7 +1573,8 @@ impl Engine {
                 })
             },
         };
-        drive_ctx(&forest, ForestNode::Roots, &self.cfg, ctx, &self.stats)
+        let found = drive_ctx(&forest, ForestNode::Roots, &self.cfg, ctx, &self.stats)?;
+        Ok(choices.verdict(found))
     }
 
     /// Single-fact convenience wrapper for [`Engine::exists_world_missing_any_fact`].
@@ -1568,14 +1588,14 @@ impl Engine {
     }
 
     /// Is there a valuation under which some row produces a fact **outside** `instance`?
-    /// Parallel counterpart of [`crate::search::exists_world_with_fact_outside`]; the
-    /// per-row searches are independent subtrees.
+    /// The other half of the uniqueness complement; the per-row searches are independent
+    /// subtrees.
     pub fn exists_world_with_fact_outside(
         &self,
         db: &CDatabase,
         instance: &Instance,
     ) -> Result<bool, DecisionError> {
-        self.fact_outside_ctx(db, instance, &self.ctx())
+        Ok(self.fact_outside_ctx(db, instance, &self.ctx())?.found)
     }
 
     pub(crate) fn fact_outside_ctx(
@@ -1583,9 +1603,9 @@ impl Engine {
         db: &CDatabase,
         instance: &Instance,
         ctx: &Ctx,
-    ) -> Result<bool, DecisionError> {
+    ) -> Result<Verdict, DecisionError> {
         let Some(base) = self.base_store(db) else {
-            return Ok(false);
+            return Ok(Verdict::NOT_FOUND);
         };
         let mut rows = Vec::new();
         let mut conditions = Vec::new();
@@ -1601,9 +1621,9 @@ impl Engine {
             }
         }
         let search = EscapeSearch { fact_lists, rows };
-        let driver = Choices(&search);
+        let choices = Choices::new(&search, self.cfg.certify);
         let forest = ForestSearch {
-            inner: &driver,
+            inner: &choices,
             root_count: conditions.len(),
             make_root: |row| {
                 // The row must be present (local condition holds) to escape.
@@ -1616,20 +1636,24 @@ impl Engine {
                     })
             },
         };
-        drive_ctx(&forest, ForestNode::Roots, &self.cfg, ctx, &self.stats)
+        let found = drive_ctx(&forest, ForestNode::Roots, &self.cfg, ctx, &self.stats)?;
+        Ok(choices.verdict(found))
     }
 
-    /// Drive a caller-defined [`ChoiceSearch`] through the engine's scheduler against an
-    /// externally owned context.  This is how `membership::backtracking` joins the
-    /// parallel engine: the membership module defines the branches, the engine supplies
-    /// scheduling, budget, limits and stats.
+    /// Drive a [`ChoiceSearch`] through the engine's scheduler against an externally
+    /// owned context, keeping the accepting leaf under [`EngineConfig::certify`].  This
+    /// is also how `membership::backtracking` joins the parallel engine: the membership
+    /// module defines the branches, the engine supplies scheduling, budget, limits,
+    /// stats and evidence capture.
     pub(crate) fn drive_choices<S: ChoiceSearch>(
         &self,
         search: &S,
         root: ChoiceNode<S::Meta>,
         ctx: &Ctx,
-    ) -> Result<bool, DecisionError> {
-        drive_ctx(&Choices(search), root, &self.cfg, ctx, &self.stats)
+    ) -> Result<Verdict, DecisionError> {
+        let choices = Choices::new(search, self.cfg.certify);
+        let found = drive_ctx(&choices, root, &self.cfg, ctx, &self.stats)?;
+        Ok(choices.verdict(found))
     }
 
     // -- shard-group (per-shard) variants ------------------------------------------------
@@ -1667,7 +1691,9 @@ impl Engine {
             // `covering_ctx` on an empty part checks.
             let covered =
                 self.memo_decide(MemoOp::Covering, group.database(), part, None, || {
-                    self.covering_ctx(group.database(), part, &ctx.fork())
+                    Ok(self
+                        .covering_ctx(group.database(), part, &ctx.fork())?
+                        .found)
                 })?;
             if !covered {
                 return Ok(false);
@@ -1736,7 +1762,9 @@ impl Engine {
             }
             let missing =
                 self.memo_decide(MemoOp::MissingAny, group.database(), part, None, || {
-                    self.missing_any_ctx(group.database(), part, &ctx.fork())
+                    Ok(self
+                        .missing_any_ctx(group.database(), part, &ctx.fork())?
+                        .found)
                 })?;
             if missing {
                 return Ok(true);
@@ -1784,7 +1812,7 @@ impl Engine {
                 }
             }
             let escapes = self.memo_decide(MemoOp::Escape, gdb, &part, None, || {
-                self.fact_outside_ctx(gdb, &part, &ctx.fork())
+                Ok(self.fact_outside_ctx(gdb, &part, &ctx.fork())?.found)
             })?;
             if escapes {
                 return Ok(true);
@@ -1795,9 +1823,17 @@ impl Engine {
 
     // -- canonical-valuation enumeration -------------------------------------------------
 
-    /// Enumerate the canonical valuations of `vars` into Δ ∪ Δ′ (exactly as
-    /// [`crate::common::for_each_canonical_valuation`]) and return the result of the first
-    /// `visit` call that produces `Some`.
+    /// Enumerate the *canonical* valuations of `vars` into Δ ∪ Δ′ and return the result of
+    /// the first `visit` call that produces `Some`.
+    ///
+    /// Canonicity: fresh (Δ′) constants are introduced in a fixed order — a variable may
+    /// be mapped to the i-th fresh constant only if fresh constants `0..i` are already in
+    /// use by earlier variables.  Every valuation into Δ ∪ Δ′ is the composition of a
+    /// canonical one with a permutation of Δ′; since the decision problems only compare
+    /// query outputs against facts over Δ (and QPTIME queries are generic), restricting to
+    /// canonical valuations is sound and complete, exactly as in the proof of
+    /// Proposition 2.1.  Known constants are tried first, then the fresh constants already
+    /// in use, then one new fresh constant; each visited valuation charges one budget unit.
     ///
     /// `symbols` is the id space the valuations are built in — callers pass the subject
     /// database's handle (`view.db.symbols()`), so the enumeration works unchanged over a
@@ -1895,18 +1931,52 @@ pub(crate) struct ChoiceNode<M> {
     pub(crate) meta: M,
 }
 
-/// Adapter driving a [`ChoiceSearch`] as a [`TreeSearch`].
-struct Choices<'a, S>(&'a S);
+/// Adapter driving a [`ChoiceSearch`] as a [`TreeSearch`].  With `capture` on (the
+/// engine certifies), the first accepting leaf reached — by the sequential DFS, a stealing
+/// worker or the static frontier phase alike — keeps a copy of its store in `leaf`, the
+/// same filled-once slot [`EnumSearch`] keeps its witness in.
+struct Choices<'a, S> {
+    search: &'a S,
+    capture: bool,
+    leaf: Mutex<Option<ConstraintSet>>,
+}
 
-impl<S: ChoiceSearch> Choices<'_, S> {
+impl<'a, S: ChoiceSearch> Choices<'a, S> {
+    fn new(search: &'a S, capture: bool) -> Self {
+        Choices {
+            search,
+            capture,
+            leaf: Mutex::new(None),
+        }
+    }
+
+    /// An accepting leaf: keep its store if capturing (first leaf wins).
+    fn accept(&self, store: &ConstraintSet) -> Result<bool, Stop> {
+        if self.capture {
+            lock_unpoisoned(&self.leaf).get_or_insert_with(|| store.clone());
+        }
+        Ok(true)
+    }
+
+    /// The search's [`Verdict`], carrying the captured leaf (if any).
+    fn verdict(self, found: bool) -> Verdict {
+        Verdict {
+            found,
+            leaf: self
+                .leaf
+                .into_inner()
+                .unwrap_or_else(PoisonError::into_inner),
+        }
+    }
+
     fn rec(&self, store: &mut ConstraintSet, meta: &S::Meta, ctx: &Ctx) -> Result<bool, Stop> {
         ctx.tick()?;
-        if self.0.is_leaf(meta) {
-            return Ok(true);
+        if self.search.is_leaf(meta) {
+            return self.accept(store);
         }
-        for k in 0..self.0.branch_count(meta) {
+        for k in 0..self.search.branch_count(meta) {
             let cp = store.checkpoint();
-            if let Some(child) = self.0.try_branch(store, meta, k) {
+            if let Some(child) = self.search.try_branch(store, meta, k) {
                 if self.rec(store, &child, ctx)? {
                     return Ok(true);
                 }
@@ -1929,15 +1999,15 @@ impl<S: ChoiceSearch> Choices<'_, S> {
         shed: &dyn Shed<ChoiceNode<S::Meta>>,
     ) -> Result<bool, Stop> {
         ctx.tick()?;
-        if self.0.is_leaf(meta) {
-            return Ok(true);
+        if self.search.is_leaf(meta) {
+            return self.accept(store);
         }
-        let n = self.0.branch_count(meta);
+        let n = self.search.branch_count(meta);
         if n > 1 && shed.wants_work() {
             let mut kids = Vec::new();
             for k in 0..n {
                 let mut child_store = store.clone();
-                if let Some(child_meta) = self.0.try_branch(&mut child_store, meta, k) {
+                if let Some(child_meta) = self.search.try_branch(&mut child_store, meta, k) {
                     kids.push(ChoiceNode {
                         store: child_store,
                         meta: child_meta,
@@ -1955,7 +2025,7 @@ impl<S: ChoiceSearch> Choices<'_, S> {
         }
         for k in 0..n {
             let cp = store.checkpoint();
-            if let Some(child) = self.0.try_branch(store, meta, k) {
+            if let Some(child) = self.search.try_branch(store, meta, k) {
                 if self.rec_shed(store, &child, ctx, shed)? {
                     return Ok(true);
                 }
@@ -1971,12 +2041,12 @@ impl<S: ChoiceSearch> TreeSearch for Choices<'_, S> {
 
     fn expand(&self, node: Self::Node, out: &mut Vec<Self::Node>, ctx: &Ctx) -> Result<bool, Stop> {
         ctx.tick()?;
-        if self.0.is_leaf(&node.meta) {
-            return Ok(true);
+        if self.search.is_leaf(&node.meta) {
+            return self.accept(&node.store);
         }
-        for k in 0..self.0.branch_count(&node.meta) {
+        for k in 0..self.search.branch_count(&node.meta) {
             let mut store = node.store.clone();
-            if let Some(meta) = self.0.try_branch(&mut store, &node.meta, k) {
+            if let Some(meta) = self.search.try_branch(&mut store, &node.meta, k) {
                 out.push(ChoiceNode { store, meta });
             }
         }
@@ -2446,18 +2516,22 @@ where
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use pw_condition::VarGen;
     use pw_core::CTuple;
     use pw_relational::{rel, tup};
 
-    fn engines() -> Vec<Engine> {
-        vec![
-            Engine::new(EngineConfig::sequential(Budget(1_000_000))),
-            Engine::new(EngineConfig::with_threads(2, Budget(1_000_000))),
-            Engine::new(EngineConfig::with_threads(8, Budget(1_000_000))),
-        ]
+    /// The thread counts every engine-level unit test runs at: sequential, 2 and 8.
+    pub(crate) fn configs() -> Vec<EngineConfig> {
+        [1, 2, 8]
+            .into_iter()
+            .map(|threads| EngineConfig::with_threads(threads, Budget(1_000_000)))
+            .collect()
+    }
+
+    pub(crate) fn engines() -> Vec<Engine> {
+        configs().into_iter().map(Engine::new).collect()
     }
 
     #[test]

@@ -45,7 +45,6 @@ pub mod containment;
 pub mod engine;
 pub mod membership;
 pub mod possibility;
-pub mod search;
 pub mod uniqueness;
 
 pub use batch::{
@@ -57,3 +56,10 @@ pub use common::{
 };
 pub use engine::{Engine, EngineConfig, EngineStats, MemoOp, MemoStats, SharedBudget};
 pub use pw_core::{Certificate, PairCert};
+
+/// Unit tests of the three constraint searches (covering, missing fact, fact outside) on
+/// the engine's entry points, at 1, 2 and 8 threads.
+#[cfg(test)]
+mod search {
+    mod tests;
+}

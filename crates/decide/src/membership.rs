@@ -6,6 +6,8 @@
 //! * [`backtracking`] — a complete NP procedure for arbitrary c-tables: assign every row
 //!   either to a fact of the instance or to "absent" (falsifying one atom of its local
 //!   condition), propagating equality/inequality constraints through a union–find store.
+//!   The search is the engine's `MemberSearch`; the budgeted entry points here drive it
+//!   on a sequential [`Engine`].
 //! * [`view_membership`] — `MEMB(q)` for views.  When `q` is a vector of (≠-extended)
 //!   positive existential queries the view is first converted to an equivalent c-table
 //!   database with the c-table algebra and [`backtracking`] is used; otherwise the
@@ -14,8 +16,8 @@
 //!   bounds prescribe.
 
 use crate::certify;
-use crate::common::{evaluation_delta, Budget, BudgetCounter, Decision, DecisionError, Strategy};
-use crate::engine::{ChoiceNode, ChoiceSearch, Ctx, Engine, EngineConfig};
+use crate::common::{evaluation_delta, Budget, Decision, DecisionError, Strategy};
+use crate::engine::{ChoiceNode, ChoiceSearch, Ctx, Engine, EngineConfig, Verdict};
 use pw_condition::{Atom, ConstraintSet, Term};
 use pw_core::{CDatabase, CTable, Certificate, View};
 use pw_relational::{Instance, Sym};
@@ -27,11 +29,17 @@ use std::sync::Arc;
 /// Codd-table databases, to the shard-group decomposition when the coupling graph splits,
 /// and to the joint backtracking procedure otherwise.
 pub fn decide(db: &CDatabase, instance: &Instance, budget: Budget) -> Result<bool, DecisionError> {
-    match strategy(db) {
-        Strategy::CoddMatching => Ok(codd_matching(db, instance)),
-        Strategy::PerShard { .. } => per_shard(db, instance, budget),
-        _ => backtracking(db, instance, budget),
-    }
+    decide_with(db, instance, &Engine::new(EngineConfig::sequential(budget)))
+}
+
+/// [`decide`] on an explicit [`Engine`]: the same dispatch, with the backtracking arms
+/// on the engine's scheduler under its budget, limits and memo.
+pub(crate) fn decide_with(
+    db: &CDatabase,
+    instance: &Instance,
+    engine: &Engine,
+) -> Result<bool, DecisionError> {
+    dispatch(db, instance, engine, strategy(db))
 }
 
 /// The strategy [`decide`] will use for a database.
@@ -48,10 +56,44 @@ pub(crate) fn decide_joint_with(
     instance: &Instance,
     engine: &Engine,
 ) -> Result<bool, DecisionError> {
-    match strategy_with(db, false) {
+    dispatch(db, instance, engine, strategy_with(db, false))
+}
+
+/// Run the membership algorithm `strategy` names.
+fn dispatch(
+    db: &CDatabase,
+    instance: &Instance,
+    engine: &Engine,
+    strategy: Strategy,
+) -> Result<bool, DecisionError> {
+    match strategy {
         Strategy::CoddMatching => Ok(codd_matching(db, instance)),
+        Strategy::PerShard { .. } => per_shard_with(db, instance, engine),
         _ => backtracking_with(db, instance, engine),
     }
+}
+
+/// [`dispatch`] with the evidence a certifying engine keeps: the verdict and the witness
+/// binding over `db` — read off the accepting leaf of the backtracking search (per group
+/// through the certificate-aware memo for [`Strategy::PerShard`]), or built from the
+/// matching for [`Strategy::CoddMatching`].
+pub(crate) fn witness(
+    db: &CDatabase,
+    instance: &Instance,
+    engine: &Engine,
+    strategy: Strategy,
+) -> Result<(bool, Option<certify::Binding>), DecisionError> {
+    Ok(match strategy {
+        Strategy::CoddMatching => {
+            let w = certify::codd_membership_witness(db, instance);
+            (w.is_some(), w)
+        }
+        Strategy::PerShard { .. } => certified_per_shard_member(db, instance, engine)?,
+        _ => {
+            let verdict = backtracking_ctx(db, instance, engine, &engine.ctx())?;
+            certify::read_off(verdict, db, instance)
+        }
+    })
 }
 
 /// [`strategy`] with the shard-group decomposition toggled — engine-backed callers pass
@@ -75,25 +117,14 @@ fn strategy_with(db: &CDatabase, per_shard: bool) -> Strategy {
 /// group's representation — a conjunction of small searches instead of one joint tree
 /// that re-explores every earlier group's row assignments whenever a later group fails.
 /// Each group dispatches to its own best algorithm (matching for decoupled-Codd groups,
-/// backtracking otherwise); one budget counter is threaded through the conjunction, so
+/// backtracking otherwise); one budget pool is drained by the whole conjunction, so
 /// `budget` still bounds the total node count.
 pub fn per_shard(
     db: &CDatabase,
     instance: &Instance,
     budget: Budget,
 ) -> Result<bool, DecisionError> {
-    // An unknown or arity-mismatched relation is not a member of anything — the same
-    // outcome `schema_compatible` gives the joint searches.
-    let Some(parts) = crate::engine::split_by_group(db, instance) else {
-        return Ok(false);
-    };
-    let mut counter = budget.counter();
-    for (group, part) in db.shard_groups().iter().zip(&parts) {
-        if !per_shard_group(group.database(), part, &mut counter)? {
-            return Ok(false);
-        }
-    }
-    Ok(true)
+    per_shard_with(db, instance, &Engine::new(EngineConfig::sequential(budget)))
 }
 
 /// [`per_shard`] against an [`Engine`]: the per-group verdicts go through the engine's
@@ -104,6 +135,8 @@ pub(crate) fn per_shard_with(
     instance: &Instance,
     engine: &Engine,
 ) -> Result<bool, DecisionError> {
+    // An unknown or arity-mismatched relation is not a member of anything — the same
+    // outcome `schema_compatible` gives the joint search.
     let Some(parts) = crate::engine::split_by_group(db, instance) else {
         return Ok(false);
     };
@@ -116,7 +149,7 @@ pub(crate) fn per_shard_with(
             } else {
                 // One budget pool across the conjunction, a fresh cancellation scope per
                 // group: a witness in one group must not stop the next group's search.
-                backtracking_engine(sub, part, engine, &ctx.fork())
+                Ok(backtracking_ctx(sub, part, engine, &ctx.fork())?.found)
             }
         })?;
         if !ok {
@@ -126,23 +159,9 @@ pub(crate) fn per_shard_with(
     Ok(true)
 }
 
-/// One group's membership sub-decision: matching for decoupled-Codd groups,
-/// backtracking (against the threaded budget counter) otherwise.
-fn per_shard_group(
-    sub: &CDatabase,
-    part: &Instance,
-    counter: &mut BudgetCounter,
-) -> Result<bool, DecisionError> {
-    if sub.is_decoupled_codd() {
-        Ok(codd_matching(sub, part))
-    } else {
-        backtracking_counted(sub, part, counter)
-    }
-}
-
 /// Quick structural check shared by all algorithms: the instance may not populate relations
 /// the database does not have, and arities must agree.
-fn schema_compatible(db: &CDatabase, instance: &Instance) -> bool {
+pub(crate) fn schema_compatible(db: &CDatabase, instance: &Instance) -> bool {
     for (name, rel) in instance.iter() {
         if rel.is_empty() {
             continue;
@@ -205,7 +224,7 @@ pub fn codd_matching(db: &CDatabase, instance: &Instance) -> bool {
 /// Can some valuation map this (Codd) row onto the (interned) fact?  Because every
 /// variable occurs at most once in a Codd-table, positions are independent: constants must
 /// match literally and variables can take any value.
-fn row_unifies_with_fact(terms: &[Term], fact: &[Sym]) -> bool {
+pub(crate) fn row_unifies_with_fact(terms: &[Term], fact: &[Sym]) -> bool {
     terms.len() == fact.len()
         && terms.iter().zip(fact.iter()).all(|(t, c)| match t {
             Term::Const(tc) => tc == c,
@@ -227,162 +246,14 @@ pub fn backtracking(
     instance: &Instance,
     budget: Budget,
 ) -> Result<bool, DecisionError> {
-    let mut counter = budget.counter();
-    backtracking_counted(db, instance, &mut counter)
-}
-
-/// [`backtracking`] against an externally owned counter, so the per-shard conjunction
-/// can thread one budget pool through consecutive group searches.
-fn backtracking_counted(
-    db: &CDatabase,
-    instance: &Instance,
-    counter: &mut BudgetCounter,
-) -> Result<bool, DecisionError> {
-    if !schema_compatible(db, instance) {
-        return Ok(false);
-    }
-    let mut base = ConstraintSet::new();
-    for table in db.tables() {
-        if !base.assert_conjunction(table.global_condition()) {
-            return Ok(false);
-        }
-    }
-
-    // Flatten rows and facts.  Rows carry the *index* of their table so the search below
-    // never resolves a relation name — machine-word addressing only (the boundary
-    // resolution happened in `schema_compatible` and the fact-list build).
-    struct RowRef<'a> {
-        table: &'a CTable,
-        row_idx: usize,
-        /// Position of `table` in the database, i.e. the fact-list/coverage slot.
-        t_idx: usize,
-    }
-    let mut rows: Vec<RowRef<'_>> = Vec::new();
-    for (t_idx, table) in db.tables().iter().enumerate() {
-        for row_idx in 0..table.len() {
-            rows.push(RowRef {
-                table,
-                row_idx,
-                t_idx,
-            });
-        }
-    }
-    // Facts per table (interned at the front door), indexed by table position.
-    let mut fact_lists: Vec<Vec<Vec<Sym>>> = Vec::new();
-    for table in db.tables() {
-        let rel = instance.relation_or_empty(table.name(), table.arity());
-        fact_lists.push(
-            rel.iter()
-                .map(|f| crate::engine::intern_fact(db, f))
-                .collect(),
-        );
-    }
-    let total_facts: usize = fact_lists.iter().map(Vec::len).sum();
-
-    let mut coverage: Vec<Vec<usize>> = fact_lists
-        .iter()
-        .map(|facts| vec![0usize; facts.len()])
-        .collect();
-
-    // The shape of the search, fixed for its whole run (the mutable store, coverage and
-    // budget travel as explicit parameters).
-    struct SearchShape<'a> {
-        rows: Vec<RowRef<'a>>,
-        fact_lists: Vec<Vec<Vec<Sym>>>,
-        total_facts: usize,
-    }
-
-    fn search(
-        shape: &SearchShape<'_>,
-        coverage: &mut Vec<Vec<usize>>,
-        covered_count: usize,
-        depth: usize,
-        store: &mut ConstraintSet,
-        counter: &mut BudgetCounter,
-    ) -> Result<bool, DecisionError> {
-        let (rows, fact_lists, total_facts) = (&shape.rows, &shape.fact_lists, shape.total_facts);
-        counter.tick()?;
-        if depth == rows.len() {
-            return Ok(covered_count == total_facts);
-        }
-        // Pruning: each remaining row covers at most one uncovered fact.
-        if total_facts - covered_count > rows.len() - depth {
-            return Ok(false);
-        }
-        let row_ref = &rows[depth];
-        let row = &row_ref.table.tuples()[row_ref.row_idx];
-        let t_idx = row_ref.t_idx;
-        let facts = &fact_lists[t_idx];
-
-        // Option 1: map the row onto a fact of its relation.  Each branch forks the store
-        // with an O(1) checkpoint and unwinds it on return — no clone, no allocation per
-        // search node.
-        for (f_idx, fact) in facts.iter().enumerate() {
-            let cp = store.checkpoint();
-            let mut ok = store.assert_conjunction(&row.condition);
-            if ok {
-                for (&term, &value) in row.terms.iter().zip(fact.iter()) {
-                    if !store.assert_eq(term, Term::Const(value)) {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if !ok {
-                store.rollback(cp);
-                continue;
-            }
-            coverage[t_idx][f_idx] += 1;
-            let newly_covered = coverage[t_idx][f_idx] == 1;
-            let result = search(
-                shape,
-                coverage,
-                covered_count + usize::from(newly_covered),
-                depth + 1,
-                store,
-                counter,
-            );
-            coverage[t_idx][f_idx] -= 1;
-            store.rollback(cp);
-            if result? {
-                return Ok(true);
-            }
-        }
-
-        // Option 2: the row is absent — some atom of its local condition is falsified.
-        // (A row with the trivial condition `true` can never be absent.)
-        for &atom in row.condition.atoms() {
-            let cp = store.checkpoint();
-            let negated_ok = match atom {
-                Atom::Eq(a, b) => store.assert_neq(a, b),
-                Atom::Neq(a, b) => store.assert_eq(a, b),
-            };
-            if !negated_ok {
-                store.rollback(cp);
-                continue;
-            }
-            let result = search(shape, coverage, covered_count, depth + 1, store, counter);
-            store.rollback(cp);
-            if result? {
-                return Ok(true);
-            }
-        }
-
-        Ok(false)
-    }
-
-    let shape = SearchShape {
-        rows,
-        fact_lists,
-        total_facts,
-    };
-    let mut store = base;
-    search(&shape, &mut coverage, 0, 0, &mut store, counter)
+    backtracking_with(db, instance, &Engine::new(EngineConfig::sequential(budget)))
 }
 
 // -- the engine-scheduled backtracking path ---------------------------------------------
 
-/// A row of the flattened row list, as in [`backtracking_counted`].
+/// A row of the flattened row list.  Rows carry the *index* of their table so the search
+/// never resolves a relation name — machine-word addressing only (the boundary
+/// resolution happened in `schema_compatible` and the fact-list build).
 struct MemberRow<'a> {
     table: &'a CTable,
     row_idx: usize,
@@ -390,10 +261,10 @@ struct MemberRow<'a> {
     t_idx: usize,
 }
 
-/// One covered fact along a search path.  A persistent (Arc-linked) list replaces the
-/// mutable `coverage` count matrix of the sequential search: forking a node for a thief
-/// is O(1), and the "is this fact already covered?" scan is O(depth) — the same cost
-/// profile as [`crate::engine`]'s `UsedRow` list in the covering search.
+/// One covered fact along a search path.  A persistent (Arc-linked) list instead of a
+/// mutable coverage count matrix: forking a node for a thief is O(1), and the "is this
+/// fact already covered?" scan is O(depth) — the same cost profile as
+/// [`crate::engine`]'s `UsedRow` list in the covering search.
 struct Covered {
     t_idx: usize,
     f_idx: usize,
@@ -410,11 +281,10 @@ struct MemberMeta {
 }
 
 /// [`backtracking`] expressed as a [`ChoiceSearch`], so the engine's work-stealing
-/// scheduler can parallelize a *single* condition-coupled group.  The branch order is
-/// exactly [`backtracking_counted`]'s — per row, the Option-1 fact branches first, then
-/// the Option-2 absence branches — and both ticks and pruning fire at the same nodes, so
-/// the two implementations are indistinguishable to the budget and return identical
-/// answers.
+/// scheduler can parallelize a *single* condition-coupled group.  Per row, the Option-1
+/// fact branches come first, then the Option-2 absence branches; every node charges one
+/// budget unit, and a branch is pruned when the remaining rows cannot cover the
+/// remaining facts.
 struct MemberSearch<'a> {
     rows: Vec<MemberRow<'a>>,
     /// Interned instance facts per table position.
@@ -509,22 +379,23 @@ pub(crate) fn backtracking_with(
     instance: &Instance,
     engine: &Engine,
 ) -> Result<bool, DecisionError> {
-    backtracking_engine(db, instance, engine, &engine.ctx())
+    Ok(backtracking_ctx(db, instance, engine, &engine.ctx())?.found)
 }
 
 /// [`backtracking_with`] against an externally owned context, so the per-shard
-/// conjunction can drain one budget pool across consecutive group searches.
-fn backtracking_engine(
+/// conjunction can drain one budget pool across consecutive group searches; the
+/// [`Verdict`] carries the accepting leaf when the engine certifies.
+pub(crate) fn backtracking_ctx(
     db: &CDatabase,
     instance: &Instance,
     engine: &Engine,
     ctx: &Ctx,
-) -> Result<bool, DecisionError> {
+) -> Result<Verdict, DecisionError> {
     if !schema_compatible(db, instance) {
-        return Ok(false);
+        return Ok(Verdict::NOT_FOUND);
     }
     let Some(store) = engine.base_store(db) else {
-        return Ok(false);
+        return Ok(Verdict::NOT_FOUND);
     };
     let mut rows: Vec<MemberRow<'_>> = Vec::new();
     for (t_idx, table) in db.tables().iter().enumerate() {
@@ -607,12 +478,7 @@ pub fn view_membership_with(view: &View, instance: &Instance, engine: &Engine) -
                     Strategy::Backtracking
                 }
             };
-            let answer = match chosen {
-                Strategy::CoddMatching => Ok(codd_matching(&db, instance)),
-                Strategy::PerShard { .. } => per_shard_with(&db, instance, engine),
-                _ => backtracking_with(&db, instance, engine),
-            };
-            Decision::of(answer, chosen)
+            Decision::of(dispatch(&db, instance, engine, chosen), chosen)
         }
         Some(Err(_)) => Decision::of(Ok(false), Strategy::Backtracking),
         None => {
@@ -665,27 +531,10 @@ pub(crate) fn view_membership_certified(
                     certify::fill_unassigned(&view.db, w, &avoid),
                 )))
             };
-            let (answer, cert) = match chosen {
-                Strategy::CoddMatching => match certify::codd_member_witness(&db, instance) {
-                    Some(w) => (Ok(true), yes(w)),
-                    None => (Ok(false), Some(certify::no_world_cert(&view.db))),
-                },
-                Strategy::PerShard { .. } => {
-                    match certified_per_shard_member(&db, instance, engine) {
-                        Ok((true, Some(w))) => (Ok(true), yes(w)),
-                        Ok((true, None)) => (Ok(true), None),
-                        Ok((false, _)) => (Ok(false), Some(certify::no_world_cert(&view.db))),
-                        Err(e) => (Err(e), None),
-                    }
-                }
-                _ => {
-                    let mut counter = engine.config().counter();
-                    match certify::member_witness(&db, instance, &mut counter) {
-                        Ok(Some(w)) => (Ok(true), yes(w)),
-                        Ok(None) => (Ok(false), Some(certify::no_world_cert(&view.db))),
-                        Err(e) => (Err(e), None),
-                    }
-                }
+            let (answer, cert) = match witness(&db, instance, engine, chosen) {
+                Ok((true, w)) => (Ok(true), w.and_then(yes)),
+                Ok((false, _)) => (Ok(false), Some(certify::no_world_cert(&view.db))),
+                Err(e) => (Err(e), None),
             };
             Decision::certified(answer, chosen, cert)
         }
@@ -736,11 +585,13 @@ pub(crate) fn certified_per_shard_member(
         instance,
         engine,
         crate::engine::MemoOp::Member,
-        |sub, part, counter| {
+        |sub, part, ctx| {
             if sub.is_decoupled_codd() {
-                Ok(certify::codd_member_witness(sub, part))
+                let w = certify::codd_membership_witness(sub, part);
+                Ok((w.is_some(), w))
             } else {
-                certify::member_witness(sub, part, counter)
+                let verdict = backtracking_ctx(sub, part, engine, ctx)?;
+                Ok(certify::read_off(verdict, sub, part))
             }
         },
     )

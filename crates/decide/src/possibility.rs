@@ -14,7 +14,6 @@
 use crate::certify;
 use crate::common::{evaluation_delta, Budget, Decision, DecisionError, Strategy};
 use crate::engine::{Engine, EngineConfig};
-use crate::search::exists_world_covering;
 use pw_core::algebra::AlgebraError;
 use pw_core::{CDatabase, Certificate, View};
 use pw_relational::Instance;
@@ -78,7 +77,7 @@ pub(crate) fn decide_certified(view: &View, facts: &Instance, engine: &Engine) -
     };
     let no = || Some(certify::no_world_cert(&view.db));
     match strategy {
-        Strategy::CoddMatching => match certify::codd_cover_witness(&view.db, facts) {
+        Strategy::CoddMatching => match certify::codd_possibility_witness(&view.db, facts) {
             Some(w) => Decision::certified(Ok(true), strategy, yes(w)),
             None => Decision::certified(Ok(false), strategy, no()),
         },
@@ -90,7 +89,10 @@ pub(crate) fn decide_certified(view: &View, facts: &Instance, engine: &Engine) -
                         facts,
                         engine,
                         crate::engine::MemoOp::Covering,
-                        certify::cover_witness,
+                        |gdb, part, ctx| {
+                            let verdict = engine.covering_ctx(gdb, part, ctx)?;
+                            Ok(certify::read_off(verdict, gdb, part))
+                        },
                     );
                     match outcome {
                         Ok((true, Some(w))) => Decision::certified(Ok(true), strategy, yes(w)),
@@ -104,14 +106,13 @@ pub(crate) fn decide_certified(view: &View, facts: &Instance, engine: &Engine) -
         }
         Strategy::CTableAlgebra | Strategy::Backtracking => {
             match converted.expect("planned strategies carry their conversion") {
-                Ok(db) => {
-                    let mut counter = engine.config().counter();
-                    match certify::cover_witness(&db, facts, &mut counter) {
-                        Ok(Some(w)) => Decision::certified(Ok(true), strategy, yes(w)),
-                        Ok(None) => Decision::certified(Ok(false), strategy, no()),
-                        Err(e) => Decision::of(Err(e), strategy),
-                    }
-                }
+                Ok(db) => match engine.covering_ctx(&db, facts, &engine.ctx()) {
+                    Ok(verdict) => match certify::read_off(verdict, &db, facts) {
+                        (true, w) => Decision::certified(Ok(true), strategy, w.and_then(yes)),
+                        (false, _) => Decision::certified(Ok(false), strategy, no()),
+                    },
+                    Err(e) => Decision::of(Err(e), strategy),
+                },
                 Err(_) => Decision::certified(Ok(false), strategy, Some(Certificate::Exhaustive)),
             }
         }
@@ -221,8 +222,7 @@ pub fn codd_matching(db: &CDatabase, facts: &Instance) -> bool {
 /// of `P` under a consistent valuation (Theorem 5.2(1) after c-table conversion; the same
 /// search is the NP procedure for e-/i-/g-/c-tables).
 pub fn row_cover(db: &CDatabase, facts: &Instance, budget: Budget) -> Result<bool, DecisionError> {
-    let mut counter = budget.counter();
-    exists_world_covering(db, facts, &mut counter)
+    Engine::new(EngineConfig::sequential(budget)).exists_world_covering(db, facts)
 }
 
 /// [`by_enumeration`] on an explicit [`Engine`] (parallel canonical-valuation

@@ -8,8 +8,8 @@
 //!   views of e-tables, using the c-table algebra (step (a)), per-tuple e-tables (steps
 //!   (b)–(d)) and the certain-answer check (condition (α)).
 //! * [`complement_search`] / [`decide`] — the general coNP procedure: membership plus the
-//!   non-existence of a differing world, decided by the constraint searches of
-//!   [`crate::search`].
+//!   non-existence of a differing world, decided by the engine's constraint searches
+//!   ([`Engine::exists_world_with_fact_outside`], [`Engine::exists_world_missing_any_fact`]).
 
 use crate::certify;
 use crate::common::{
@@ -142,9 +142,9 @@ pub(crate) fn decide_certified(view: &View, instance: &Instance, engine: &Engine
 }
 
 /// Certified twin of [`complement_search_with`]: membership is decided (answer only —
-/// the uniqueness *yes* needs no membership witness), then the two complement halves
-/// run as witness extractions charging one shared budget counter, exactly like the
-/// uncertified pair of forests.
+/// the uniqueness *yes* needs no membership witness), then the same two complement
+/// forests run on one shared budget pool, and a differing world is read off the
+/// accepting leaf of whichever half found one.
 fn certified_joint(
     view: &View,
     db: &CDatabase,
@@ -160,21 +160,32 @@ fn certified_joint(
         Ok(true) => {}
         Ok(false) => {
             // I is not even a member: *every* world differs from it.
-            return Decision::certified(Ok(false), strategy, any_world_counter(view, instance));
+            return Decision::certified(
+                Ok(false),
+                strategy,
+                any_world_counter(engine, view, instance),
+            );
         }
         Err(e) => return Decision::of(Err(e), strategy),
     }
-    let mut counter = engine.config().counter();
-    match certify::escape_witness(db, instance, &mut counter) {
-        Ok(Some(w)) => {
-            return Decision::certified(Ok(false), strategy, differing_world(view, w, instance))
-        }
-        Ok(None) => {}
-        Err(e) => return Decision::of(Err(e), strategy),
-    }
-    match certify::missing_witness(db, instance, &mut counter) {
-        Ok(Some(w)) => Decision::certified(Ok(false), strategy, differing_world(view, w, instance)),
-        Ok(None) => Decision::certified(Ok(true), strategy, Some(Certificate::Exhaustive)),
+    let ctx = engine.ctx();
+    let differing = engine
+        .fact_outside_ctx(db, instance, &ctx)
+        .and_then(|escape| {
+            if escape.found {
+                return Ok(escape);
+            }
+            engine.missing_any_ctx(db, instance, &ctx)
+        });
+    match differing {
+        Ok(verdict) => match certify::read_off(verdict, db, instance) {
+            (true, w) => Decision::certified(
+                Ok(false),
+                strategy,
+                w.and_then(|w| differing_world(view, w, instance)),
+            ),
+            (false, _) => Decision::certified(Ok(true), strategy, Some(Certificate::Exhaustive)),
+        },
         Err(e) => Decision::of(Err(e), strategy),
     }
 }
@@ -201,12 +212,16 @@ fn certified_per_shard(
     match membership::certified_per_shard_member(db, instance, engine) {
         Ok((true, _)) => {}
         Ok((false, _)) => {
-            return Decision::certified(Ok(false), strategy, any_world_counter(view, instance));
+            return Decision::certified(
+                Ok(false),
+                strategy,
+                any_world_counter(engine, view, instance),
+            );
         }
         Err(e) => return Decision::of(Err(e), strategy),
     }
-    let mut counter = engine.config().counter();
-    // Escaping row, group by group (mirror of `fact_outside_per_shard_ctx`).
+    let ctx = engine.ctx();
+    // Escaping row, group by group (the certified twin of `fact_outside_per_shard_ctx`).
     for (g_idx, group) in db.shard_groups().iter().enumerate() {
         let gdb = group.database();
         let mut part = Instance::new();
@@ -218,27 +233,22 @@ fn certified_per_shard(
             }
         }
         let outcome = engine.memo_certified(MemoOp::Escape, gdb, &part, None, || {
-            Ok(match certify::escape_witness(gdb, &part, &mut counter)? {
-                Some(w) => (
-                    true,
-                    Some(Certificate::counter_world(certify::valuation(w))),
-                ),
-                None => (false, Some(Certificate::Exhaustive)),
-            })
+            let verdict = engine.fact_outside_ctx(gdb, &part, &ctx.fork())?;
+            Ok(certify::counter_or_exhaustive(verdict, gdb, &part))
         });
         match outcome {
             Ok((true, cert)) => {
                 return Decision::certified(
                     Ok(false),
                     strategy,
-                    stitch(view, db, g_idx, cert, instance),
+                    stitch(engine, view, db, g_idx, cert, instance),
                 )
             }
             Ok((false, _)) => {}
             Err(e) => return Decision::of(Err(e), strategy),
         }
     }
-    // Missing fact, group by group (mirror of `missing_any_per_shard_ctx`).
+    // Missing fact, group by group (the certified twin of `missing_any_per_shard_ctx`).
     let group_of = db.shard_group_index();
     let mut parts: Vec<Instance> = vec![Instance::new(); db.shard_groups().len()];
     let mut any_fact = false;
@@ -251,9 +261,13 @@ fn certified_per_shard(
                 parts[group_of[pos]].insert_relation(name.clone(), rel.clone());
                 any_fact = true;
             }
-            // Unreachable after a successful membership — defensive mirror.
+            // Unreachable after a successful membership — defensive.
             _ => {
-                return Decision::certified(Ok(false), strategy, any_world_counter(view, instance))
+                return Decision::certified(
+                    Ok(false),
+                    strategy,
+                    any_world_counter(engine, view, instance),
+                )
             }
         }
     }
@@ -264,20 +278,15 @@ fn certified_per_shard(
             }
             let gdb = group.database();
             let outcome = engine.memo_certified(MemoOp::MissingAny, gdb, part, None, || {
-                Ok(match certify::missing_witness(gdb, part, &mut counter)? {
-                    Some(w) => (
-                        true,
-                        Some(Certificate::counter_world(certify::valuation(w))),
-                    ),
-                    None => (false, Some(Certificate::Exhaustive)),
-                })
+                let verdict = engine.missing_any_ctx(gdb, part, &ctx.fork())?;
+                Ok(certify::counter_or_exhaustive(verdict, gdb, part))
             });
             match outcome {
                 Ok((true, cert)) => {
                     return Decision::certified(
                         Ok(false),
                         strategy,
-                        stitch(view, db, g_idx, cert, instance),
+                        stitch(engine, view, db, g_idx, cert, instance),
                     )
                 }
                 Ok((false, _)) => {}
@@ -290,6 +299,7 @@ fn certified_per_shard(
 
 /// Stitch a group's counter-world certificate into a counter-world of the whole view.
 fn stitch(
+    engine: &Engine,
     view: &View,
     db: &CDatabase,
     g_idx: usize,
@@ -298,7 +308,7 @@ fn stitch(
 ) -> Option<Certificate> {
     match cert {
         Some(Certificate::CounterWorld { valuation }) => {
-            certify::stitch_counter_world(db, g_idx, valuation.iter().collect())
+            certify::stitch_counter_world(engine, db, g_idx, valuation.iter().collect())
                 .and_then(|w| differing_world(view, w, instance))
         }
         _ => None,
@@ -315,8 +325,8 @@ fn differing_world(view: &View, w: certify::Binding, instance: &Instance) -> Opt
 
 /// When `I` is not in the representation at all, any world differs from it: the base
 /// completion (globals asserted, everything else fresh) is the counter-world.
-fn any_world_counter(view: &View, instance: &Instance) -> Option<Certificate> {
-    certify::base_completion(&view.db, &certify::avoid_set(&view.db, instance))
+fn any_world_counter(engine: &Engine, view: &View, instance: &Instance) -> Option<Certificate> {
+    certify::base_completion(engine, &view.db, &certify::avoid_set(&view.db, instance))
         .map(|w| Certificate::counter_world(certify::valuation(w)))
 }
 
@@ -327,7 +337,7 @@ fn no_uniqueness_cert(view: &View, instance: &Instance, engine: &Engine) -> Opti
     if !view.db.has_satisfiable_globals() {
         return Some(Certificate::EmptyRep);
     }
-    certify::base_completion(&view.db, &certify::avoid_set(&view.db, instance))
+    certify::base_completion(engine, &view.db, &certify::avoid_set(&view.db, instance))
         .map(certify::valuation)
         .filter(|v| {
             v.world_of(&view.db)
@@ -527,19 +537,15 @@ pub fn complement_search_with(
     if !membership::decide_joint_with(db, instance, engine)? {
         return Ok(false);
     }
-    // Both halves of the complement charge one shared budget pool, exactly like the
-    // sequential search threads a single counter through them: `Budget(N)` caps the
-    // combined complement work at N nodes.
-    let ctx = crate::engine::Ctx::new(engine.config().budget);
-    if engine.fact_outside_ctx(db, instance, &ctx)? {
+    // Both halves of the complement charge one shared budget pool (and one deadline):
+    // `Budget(N)` caps the combined complement work at N nodes.
+    let ctx = engine.ctx();
+    if engine.fact_outside_ctx(db, instance, &ctx)?.found {
         return Ok(false);
     }
     // One engine call covers all facts: each fact's "can it be missing?" search is an
     // independent subtree of the same forest.
-    if engine.missing_any_ctx(db, instance, &ctx)? {
-        return Ok(false);
-    }
-    Ok(true)
+    Ok(!engine.missing_any_ctx(db, instance, &ctx)?.found)
 }
 
 /// [`complement_search_with`] over the shard groups: the same membership +
@@ -563,7 +569,7 @@ pub fn complement_search_per_shard(
         return Ok(false);
     }
     // Both complement halves drain one budget pool, exactly like the joint path.
-    let ctx = crate::engine::Ctx::new(engine.config().budget);
+    let ctx = engine.ctx();
     if engine.fact_outside_per_shard_ctx(db, instance, &ctx)? {
         return Ok(false);
     }

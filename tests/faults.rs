@@ -17,14 +17,20 @@
 //!   *and certificate* an unconstrained run produces, then restores the budget;
 //! * injected steals and subtree re-splits land on the work-stealing scheduler
 //!   (observable in [`Engine::stats`]) without changing answers, and a panic inside a
-//!   stolen subtree is contained to `WorkerPanicked`.
+//!   stolen subtree is contained to `WorkerPanicked`;
+//! * the searches nested inside containment — the freeze path's membership and the
+//!   per-world membership of the Π₂ᵖ enumeration — stop on the caller's cancel token
+//!   too, certified or not.
 
 use possible_worlds::core::{CDatabase, View};
 use possible_worlds::decide::batch::{decide_all_with, DecisionRequest, Session};
 use possible_worlds::decide::{
-    possibility, Budget, CancelToken, DecisionError, Engine, EngineConfig, FaultPlan,
+    containment, possibility, Budget, CancelToken, DecisionError, Engine, EngineConfig, FaultPlan,
+    Strategy,
 };
 use possible_worlds::prelude::*;
+use possible_worlds::reductions::membership_hardness::{three_col_etable, three_col_itable};
+use possible_worlds::solvers::Graph;
 use possible_worlds::workloads::{member_instance, mutation_stream, TableParams};
 use possible_worlds::{check, check_claim};
 use proptest::prelude::*;
@@ -236,6 +242,109 @@ fn cancellation_stops_the_search() {
         Engine::new(EngineConfig::sequential(Budget(1 << 40)).with_cancel(Arc::clone(&token)));
     let decision = possibility::decide_with(&view, &facts, &engine);
     assert_eq!(decision.answer, Err(DecisionError::Cancelled));
+}
+
+/// A graph that is not 3-colourable, laid out so the colouring search is long: `before`
+/// components whose colourings the search enumerates first (triangles when
+/// `triangles`, isolated vertices otherwise), then a K4 that refutes every one of them.
+fn late_k4(before: usize, triangles: bool) -> Graph {
+    let width = if triangles { 3 } else { 1 };
+    let k4 = before * width;
+    let mut graph = Graph::new(k4 + 4);
+    if triangles {
+        for t in 0..before {
+            let (a, b, c) = (3 * t, 3 * t + 1, 3 * t + 2);
+            graph.add_edge(a, b);
+            graph.add_edge(a, c);
+            graph.add_edge(b, c);
+        }
+    }
+    for a in k4..k4 + 4 {
+        for b in a + 1..k4 + 4 {
+            graph.add_edge(a, b);
+        }
+    }
+    graph
+}
+
+/// Decide a containment through both front doors — the plain and the certified one —
+/// under `cfg`.
+fn containment_answers(left: &View, right: &View, cfg: EngineConfig) -> [Decision; 2] {
+    let request = DecisionRequest::Containment {
+        left: left.clone(),
+        right: right.clone(),
+    };
+    let certified = decide_all_with(&[request], &cfg.clone().certified()).remove(0);
+    [
+        containment::decide_with(left, right, &Engine::new(cfg)),
+        certified,
+    ]
+}
+
+#[test]
+fn freeze_containment_honors_cancellation() {
+    // Freeze: the ground colour-pair table K₀ against the Theorem 3.1(2) e-table of a
+    // non-3-colourable graph.  Deciding K₀'s membership walks every colouring of the
+    // four triangles before the K4 refutes it — far more than 1024 nodes.
+    let reduction = three_col_etable(&late_k4(4, true));
+    let right = reduction.view;
+    let rows: Vec<Vec<Term>> = reduction
+        .instance
+        .relation("T")
+        .unwrap()
+        .iter()
+        .map(|fact| fact.iter().map(|c| Term::constant(c.clone())).collect())
+        .collect();
+    let left = View::identity(CDatabase::single(CTable::codd("T", 2, rows).unwrap()));
+    assert_eq!(containment::strategy(&left, &right), Strategy::Freeze);
+
+    for decision in containment_answers(&left, &right, EngineConfig::sequential(Budget(1 << 40))) {
+        assert_eq!(decision.answer, Ok(false), "no colouring extends the K4");
+    }
+    for decision in containment_answers(&left, &right, EngineConfig::sequential(Budget(1024))) {
+        assert_eq!(decision.answer, Err(DecisionError::BudgetExceeded));
+    }
+    let token = Arc::new(CancelToken::new());
+    token.cancel();
+    let cfg = EngineConfig::sequential(Budget(1 << 40)).with_cancel(token);
+    for decision in containment_answers(&left, &right, cfg) {
+        assert_eq!(decision.answer, Err(DecisionError::Cancelled));
+    }
+}
+
+#[test]
+fn forall_exists_containment_honors_cancellation() {
+    // Π₂ᵖ: each of the left table's four canonical worlds needs a membership search on
+    // the Theorem 3.1(3) i-table of a non-3-colourable graph, and every such search
+    // walks the colourings of six isolated vertices before the K4 refutes them.
+    let right = three_col_itable(&late_k4(6, false)).view;
+    let mut vars = VarGen::new();
+    let x = vars.fresh();
+    let rows = [1, 2, 3]
+        .map(|c| vec![Term::constant(c)])
+        .into_iter()
+        .chain([vec![Term::Var(x)]]);
+    let left = View::identity(CDatabase::single(CTable::codd("T", 1, rows).unwrap()));
+    assert_eq!(
+        containment::strategy(&left, &right),
+        Strategy::WorldEnumeration
+    );
+
+    for decision in containment_answers(&left, &right, EngineConfig::sequential(Budget(1 << 40))) {
+        assert_eq!(decision.answer, Ok(false), "no colouring extends the K4");
+    }
+    // Every world's membership search gets the full budget — and exceeds 1024 nodes.
+    for decision in containment_answers(&left, &right, EngineConfig::sequential(Budget(1024))) {
+        assert_eq!(decision.answer, Err(DecisionError::BudgetExceeded));
+    }
+    // The enumeration visits four worlds, too few to reach its own amortized limit
+    // check: only the per-world searches can see the token.
+    let token = Arc::new(CancelToken::new());
+    token.cancel();
+    let cfg = EngineConfig::sequential(Budget(1 << 40)).with_cancel(token);
+    for decision in containment_answers(&left, &right, cfg) {
+        assert_eq!(decision.answer, Err(DecisionError::Cancelled));
+    }
 }
 
 #[test]

@@ -11,9 +11,10 @@
 //! * incremental re-decision after random deltas agrees with a from-scratch decide on
 //!   all five problems (answers and strategies);
 //! * every answer a certifying session produces — from `decide_all` and from
-//!   `redecide_all` after random deltas alike — carries a certificate the independent
-//!   `pw_check` checker accepts, while answers and strategies stay identical to the
-//!   uncertified session's.
+//!   `redecide_all` after random deltas alike, under generous and tight budgets — carries
+//!   a certificate the independent `pw_check` checker accepts, while outcomes stay
+//!   identical to the uncertified session's: every answer (budget exhaustion included)
+//!   and strategy on one thread, every definite answer and strategy on four.
 
 use possible_worlds::prelude::*;
 use possible_worlds::query::datalog::FixpointStrategy;
@@ -420,72 +421,91 @@ proptest! {
             ]
         };
 
-        let cfg = EngineConfig::sequential(small_budget());
-        let plain = Session::sized(&cfg, 6);
-        let certifying = Session::certifying(&cfg, 6);
+        // Certified and uncertified decides walk the same search tree and charge the
+        // same budget, so on one thread even a budget-exceeded outcome must agree; on
+        // four threads the requests of a batch race for the memo, so only definite
+        // answers are compared.  The tight budgets exhaust on some requests and not on
+        // others.
+        let sweep = [
+            (1, small_budget()),
+            (1, Budget(6)),
+            (1, Budget(24)),
+            (1, Budget(120)),
+            (4, small_budget()),
+            (4, Budget(24)),
+        ];
+        for (threads, budget) in sweep {
+            let cfg = EngineConfig::with_threads(threads, budget);
+            let plain = Session::sized(&cfg, 6);
+            let certifying = Session::certifying(&cfg, 6);
 
-        // One audit pass: certified answers and strategies are identical to the plain
-        // session's, and every delivered answer carries a certificate the independent
-        // checker accepts.  (A budget-exceeded request has no answer to certify.)
-        macro_rules! audit {
-            ($requests:expr, $certified:expr, $uncertified:expr, $stage:expr) => {
-                prop_assert_eq!($certified.len(), $uncertified.len());
-                for ((request, certified), uncertified) in
-                    $requests.iter().zip($certified).zip($uncertified)
-                {
-                    prop_assert!(
-                        certified.answer == uncertified.answer
-                            && certified.strategy == uncertified.strategy,
-                        "certified session diverged from plain ({}, seed {}, {} deltas)",
-                        $stage, seed, delta_count
-                    );
-                    let Ok(answer) = certified.answer else { continue };
-                    let claim = check_claim(request, answer);
-                    let Some(certificate) = certified.certificate.as_ref() else {
+            // One audit pass: certified outcomes and strategies agree with the plain
+            // session's, and every delivered answer carries a certificate the independent
+            // checker accepts.  (A budget-exceeded request has no answer to certify.)
+            macro_rules! audit {
+                ($requests:expr, $certified:expr, $uncertified:expr, $stage:expr) => {
+                    prop_assert_eq!($certified.len(), $uncertified.len());
+                    for ((request, certified), uncertified) in
+                        $requests.iter().zip($certified).zip($uncertified)
+                    {
+                        let definite = certified.answer.is_ok() && uncertified.answer.is_ok();
+                        let compared = threads == 1 || definite;
                         prop_assert!(
-                            false,
-                            "uncertified {} answer ({}, seed {}, {} deltas)",
-                            claim.problem.name(), $stage, seed, delta_count
+                            (!compared || certified.answer == uncertified.answer)
+                                && certified.strategy == uncertified.strategy,
+                            "certified session diverged from plain \
+                             ({}, seed {}, {} deltas, {} threads, {:?}): {:?} vs {:?}",
+                            $stage, seed, delta_count, threads, budget,
+                            certified.answer, uncertified.answer
                         );
-                        continue;
-                    };
-                    if let Err(e) = check::verify(&claim, certificate) {
-                        prop_assert!(
-                            false,
-                            "pw_check rejected a {} certificate ({}, seed {}, {} deltas): {e}",
-                            claim.problem.name(), $stage, seed, delta_count
-                        );
+                        let Ok(answer) = certified.answer else { continue };
+                        let claim = check_claim(request, answer);
+                        let Some(certificate) = certified.certificate.as_ref() else {
+                            prop_assert!(
+                                false,
+                                "uncertified {} answer ({}, seed {}, {} deltas)",
+                                claim.problem.name(), $stage, seed, delta_count
+                            );
+                            continue;
+                        };
+                        if let Err(e) = check::verify(&claim, certificate) {
+                            prop_assert!(
+                                false,
+                                "pw_check rejected a {} certificate ({}, seed {}, {} deltas): {e}",
+                                claim.problem.name(), $stage, seed, delta_count
+                            );
+                        }
                     }
-                }
-            };
-        }
+                };
+            }
 
-        let mut cur = stream.base.clone();
-        let requests = requests_for(&cur);
-        audit!(
-            &requests,
-            &certifying.decide_all(&requests),
-            &plain.decide_all(&requests),
-            "initial decide_all"
-        );
-        for (i, delta) in stream.deltas.iter().enumerate() {
+            let mut cur = stream.base.clone();
             let requests = requests_for(&cur);
-            let redecision = certifying
-                .redecide_all(&cur, delta, &requests)
-                .expect("stream deltas apply in sequence");
-            let plain_redecision = plain
-                .redecide_all(&cur, delta, &requests)
-                .expect("stream deltas apply in sequence");
-            // A re-decision answers about the *mutated* database — the claims the
-            // checker verifies must be phrased against the post-delta views.
-            let post_requests = requests_for(&redecision.db);
             audit!(
-                &post_requests,
-                &redecision.outcomes,
-                &plain_redecision.outcomes,
-                format!("redecide_all #{i}")
+                &requests,
+                &certifying.decide_all(&requests),
+                &plain.decide_all(&requests),
+                "initial decide_all"
             );
-            cur = redecision.db;
+            for (i, delta) in stream.deltas.iter().enumerate() {
+                let requests = requests_for(&cur);
+                let redecision = certifying
+                    .redecide_all(&cur, delta, &requests)
+                    .expect("stream deltas apply in sequence");
+                let plain_redecision = plain
+                    .redecide_all(&cur, delta, &requests)
+                    .expect("stream deltas apply in sequence");
+                // A re-decision answers about the *mutated* database — the claims the
+                // checker verifies must be phrased against the post-delta views.
+                let post_requests = requests_for(&redecision.db);
+                audit!(
+                    &post_requests,
+                    &redecision.outcomes,
+                    &plain_redecision.outcomes,
+                    format!("redecide_all #{i}")
+                );
+                cur = redecision.db;
+            }
         }
     }
 }
