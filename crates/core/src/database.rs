@@ -251,6 +251,16 @@ impl CDatabase {
         CDatabase::build(tables.into_iter().collect(), Arc::clone(&self.symbols))
     }
 
+    /// Is `other` the same database *handle* — a clone of this value, sharing its table
+    /// allocation and symbol context — rather than merely an equal value?  Two
+    /// separately built databases with identical tables compare equal under `==` but
+    /// are different handles; a delta consumer deciding which views "track this
+    /// database" asks this, so a view of an equal-valued *other* database is left
+    /// alone.
+    pub fn same_handle(&self, other: &CDatabase) -> bool {
+        Arc::ptr_eq(&self.tables, &other.tables) && Arc::ptr_eq(&self.symbols, &other.symbols)
+    }
+
     /// The symbol context this database's ids live in.
     pub fn symbols(&self) -> &Arc<Symbols> {
         &self.symbols

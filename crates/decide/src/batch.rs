@@ -225,10 +225,9 @@ struct StandingEntry {
     id: u64,
     /// The request as registered (views bound to the registration-time database).
     request: DecisionRequest,
-    /// Does the request's view (or containment left) track the standing database?
-    rebind_left: bool,
-    /// Does the containment right-hand view track the standing database?
-    rebind_right: bool,
+    /// Which views track the standing database (see [`tracking`]), fixed at
+    /// registration.
+    tracks: (bool, bool),
     deps: Deps,
     last: Decision,
 }
@@ -347,47 +346,28 @@ impl Session {
 
     /// Apply `delta` to `prev` and re-decide `requests` against the mutated database.
     ///
-    /// Every request whose view is phrased against `prev` is re-bound to the new
-    /// database; the per-shard dispatchers then replay memoized verdicts for the shard
-    /// groups the delta did not touch (carried over by [`pw_core::CDatabase::apply`]
-    /// with their cache identity intact) and re-search only the dirty groups — a
-    /// condition-coupled dirty group falls back to a fresh joint search of that group,
-    /// so answers stay bit-identical to a from-scratch decide.  Cache entries keyed by
-    /// the retired database version (and by dissolved shard groups) are dropped so a
-    /// long-lived session does not accumulate stale state.
+    /// Every view that tracks `prev` — a clone of that handle, see
+    /// [`CDatabase::same_handle`] — is re-bound to the new database; views over other
+    /// databases, equal-valued ones included, are left alone.  The per-shard
+    /// dispatchers then replay memoized verdicts for the shard groups the delta did not
+    /// touch (carried over by [`pw_core::CDatabase::apply`] with their cache identity
+    /// intact) and re-search only the dirty groups — a condition-coupled dirty group
+    /// falls back to a fresh joint search of that group, so answers stay bit-identical
+    /// to a from-scratch decide.  Cache entries keyed by the retired database version
+    /// (and by dissolved shard groups) are dropped so a long-lived session does not
+    /// accumulate stale state.
     pub fn redecide_all(
         &self,
         prev: &CDatabase,
         delta: &Delta,
         requests: &[DecisionRequest],
     ) -> Result<Redecision, DeltaError> {
-        let (db, change) = prev.apply(delta)?;
-        if !change.is_noop() {
-            // Retire the caches of everything the delta dissolved: old shard groups
-            // that no longer appear in the new graph, and the previous joint value.
-            for old in prev.shard_groups() {
-                let survives = db
-                    .shard_groups()
-                    .iter()
-                    .any(|new| new.database() == old.database());
-                if !survives {
-                    self.engine.retire_database(old.database());
-                }
-            }
-            self.engine.retire_database(prev);
-            // The SatCache is keyed by condition, not database: purge only the
-            // conditions the retired value no longer shares with the live one.
-            self.engine.retire_conditions(prev, &db);
-        }
+        let (db, change) = advance(&self.engine, prev, delta)?;
         let rebound: Vec<DecisionRequest> = requests
             .iter()
-            .map(|r| rebind_request(r, prev, &db))
+            .map(|r| rebind(r, tracking(r, prev), &db))
             .collect();
-        // Pin the memo for the whole replay batch: a bounded memo must not evict a
-        // carried-over verdict between the delta and the request that replays it.
-        let replay_pin = self.engine.pin_memo();
-        let outcomes = run_batch(&rebound, &self.engine, self.workers);
-        drop(replay_pin);
+        let outcomes = replay(&rebound, &self.engine, self.workers);
         Ok(Redecision {
             db,
             change,
@@ -399,56 +379,40 @@ impl Session {
     /// baselines.  Returns one id per request (aligned positionally) and the baseline
     /// outcomes; subsequent [`Session::push_delta`] calls re-decide only the registered
     /// requests a delta can affect and report [`VerdictFlip`]s for answers that
-    /// changed.
+    /// changed.  An empty `requests` only binds the set: nothing is decided and no memo
+    /// counter moves.
     ///
     /// The first registration binds the session's standing set to `db`; later
     /// registrations join the live set — if the set's database has since moved on via
-    /// deltas, requests phrased against the stale `db` are re-bound to the current
-    /// value before their baselines are decided.
+    /// deltas, views of the (stale) `db` handle are re-bound to the current value
+    /// before their baselines are decided.
     pub fn register_standing(
         &mut self,
         db: &CDatabase,
         requests: &[DecisionRequest],
     ) -> (Vec<u64>, Vec<DecisionOutcome>) {
-        if self.standing.is_none() {
-            self.standing = Some(StandingSet {
-                db: db.clone(),
-                next_id: 1,
-                entries: Vec::new(),
-            });
-        }
-        let set = self.standing.as_mut().expect("just initialized");
+        let set = self.standing.get_or_insert_with(|| StandingSet {
+            db: db.clone(),
+            next_id: 1,
+            entries: Vec::new(),
+        });
+        let tracks: Vec<(bool, bool)> = requests.iter().map(|r| tracking(r, db)).collect();
+        let bound: Vec<DecisionRequest> = requests
+            .iter()
+            .zip(&tracks)
+            .map(|(r, &t)| rebind(r, t, &set.db))
+            .collect();
+        let baselines = replay(&bound, &self.engine, self.workers);
         let mut ids = Vec::with_capacity(requests.len());
-        let mut flags = Vec::with_capacity(requests.len());
-        let mut bound = Vec::with_capacity(requests.len());
-        for request in requests {
-            let (left_view, right_view) = match request {
-                DecisionRequest::Containment { left, right } => (left, Some(right)),
-                DecisionRequest::Membership { view, .. }
-                | DecisionRequest::Uniqueness { view, .. }
-                | DecisionRequest::Possibility { view, .. }
-                | DecisionRequest::Certainty { view, .. } => (view, None),
-            };
-            let rebind_left = left_view.db == *db;
-            let rebind_right = right_view.is_some_and(|v| v.db == *db);
-            flags.push((rebind_left, rebind_right));
-            bound.push(rebind_standing(request, rebind_left, rebind_right, &set.db));
-        }
-        let replay_pin = self.engine.pin_memo();
-        let baselines = run_batch(&bound, &self.engine, self.workers);
-        drop(replay_pin);
-        for ((request, &(rebind_left, rebind_right)), last) in
-            requests.iter().zip(&flags).zip(&baselines)
-        {
+        for ((request, &tracks), last) in requests.iter().zip(&tracks).zip(&baselines) {
             let id = set.next_id;
             set.next_id += 1;
             ids.push(id);
             set.entries.push(StandingEntry {
                 id,
-                deps: deps_of(request, db),
+                deps: deps_of(request, db, tracks.0),
                 request: request.clone(),
-                rebind_left,
-                rebind_right,
+                tracks,
                 last: last.clone(),
             });
         }
@@ -459,13 +423,13 @@ impl Session {
     /// requests the delta can affect**, reporting a [`VerdictFlip`] for each one whose
     /// answer changed.
     ///
-    /// This is [`Session::redecide_all`] specialised for subscriptions: where
-    /// `redecide_all` replays every request (clean groups from the memo, dirty groups
-    /// re-searched), `push_delta` consults the subscription index first — a standing
-    /// request none of whose dependency groups are dirty is *skipped outright*, paying
-    /// neither the memo probes nor the dirty-group re-search.  Affected requests are
-    /// re-decided exactly like `redecide_all` would, so their answers (strategies,
-    /// certificates) are bit-identical to a full replay.
+    /// This is [`Session::redecide_all`] specialised for subscriptions — the same
+    /// apply-and-retire step and the same rebinding — except that the subscription
+    /// index is consulted first: a standing request none of whose dependency groups
+    /// are dirty is *skipped outright*, paying neither the memo probes nor the
+    /// dirty-group re-search.  Affected requests are re-decided exactly like
+    /// `redecide_all` would, so their answers (strategies, certificates) are
+    /// bit-identical to a full replay.
     ///
     /// # Panics
     ///
@@ -475,10 +439,9 @@ impl Session {
             .standing
             .as_mut()
             .expect("push_delta requires a prior register_standing");
-        let prev = set.db.clone();
-        let (db, change) = prev.apply(delta)?;
+        let (db, change) = advance(&self.engine, &set.db, delta)?;
+        set.db = db.clone();
         if change.is_noop() {
-            set.db = db.clone();
             return Ok(StandingUpdate {
                 db,
                 change,
@@ -487,18 +450,6 @@ impl Session {
                 skipped: set.entries.len(),
             });
         }
-        // Retire dissolved caches exactly as redecide_all does.
-        for old in prev.shard_groups() {
-            let survives = db
-                .shard_groups()
-                .iter()
-                .any(|new| new.database() == old.database());
-            if !survives {
-                self.engine.retire_database(old.database());
-            }
-        }
-        self.engine.retire_database(&prev);
-        self.engine.retire_conditions(&prev, &db);
 
         // The subscription index: dirty groups → affected standing requests.  Group
         // ownership is resolved against the *new* graph, so merges widen entries'
@@ -519,16 +470,16 @@ impl Session {
             .map(|(i, _)| i)
             .collect();
 
+        // Entries skipped across earlier deltas are still bound to an older version,
+        // so rebinding goes by the registration-time tracking flags, not by `prev`.
         let rebound: Vec<DecisionRequest> = affected
             .iter()
             .map(|&i| {
                 let entry = &set.entries[i];
-                rebind_standing(&entry.request, entry.rebind_left, entry.rebind_right, &db)
+                rebind(&entry.request, entry.tracks, &db)
             })
             .collect();
-        let replay_pin = self.engine.pin_memo();
-        let outcomes = run_batch(&rebound, &self.engine, self.workers);
-        drop(replay_pin);
+        let outcomes = replay(&rebound, &self.engine, self.workers);
 
         let mut flips = Vec::new();
         for (&i, outcome) in affected.iter().zip(outcomes) {
@@ -542,14 +493,12 @@ impl Session {
             }
             entry.last = outcome;
         }
-        let skipped = set.entries.len() - affected.len();
-        set.db = db.clone();
         Ok(StandingUpdate {
             db,
             change,
             flips,
             redecided: affected.len(),
-            skipped,
+            skipped: set.entries.len() - affected.len(),
         })
     }
 
@@ -575,17 +524,17 @@ impl Session {
 }
 
 /// Which groups can flip `request`'s verdict (see [`Deps`]).  Localization applies only
-/// to possibility/certainty over an *identity* view of the standing database itself;
-/// anything else conservatively depends on every group.  Facts in relations the
-/// database does not store are omitted: no delta can change their (constant)
-/// contribution, because deltas cannot add relations.
-fn deps_of(request: &DecisionRequest, db: &CDatabase) -> Deps {
+/// to possibility/certainty over an *identity* view that tracks the standing database
+/// (`tracked`); anything else conservatively depends on every group.  Facts in
+/// relations the database does not store are omitted: no delta can change their
+/// (constant) contribution, because deltas cannot add relations.
+fn deps_of(request: &DecisionRequest, db: &CDatabase, tracked: bool) -> Deps {
     let (view, facts) = match request {
         DecisionRequest::Possibility { view, facts }
         | DecisionRequest::Certainty { view, facts } => (view, facts),
         _ => return Deps::AllGroups,
     };
-    if !view.query.is_identity() || view.db != *db {
+    if !view.query.is_identity() || !tracked {
         return Deps::AllGroups;
     }
     let mut positions: Vec<usize> = facts
@@ -598,14 +547,27 @@ fn deps_of(request: &DecisionRequest, db: &CDatabase) -> Deps {
     Deps::Tables(positions)
 }
 
-/// Rebind the views flagged as tracking the standing database to `db`,
-/// unconditionally.  Unlike [`rebind_request`] this does not compare against the
-/// previous database value: an entry skipped across several deltas is still bound to
-/// an older version, and must jump straight to the current one.
-fn rebind_standing(
+/// Which of `request`'s views track `db`: `(view or containment left, containment
+/// right)`.  Tracking is by handle identity ([`CDatabase::same_handle`]), never by
+/// value — a view of a separately registered database that merely *equals* `db` is
+/// about that other database, and a delta to `db` must not re-point it.
+fn tracking(request: &DecisionRequest, db: &CDatabase) -> (bool, bool) {
+    match request {
+        DecisionRequest::Containment { left, right } => {
+            (left.db.same_handle(db), right.db.same_handle(db))
+        }
+        DecisionRequest::Membership { view, .. }
+        | DecisionRequest::Uniqueness { view, .. }
+        | DecisionRequest::Possibility { view, .. }
+        | DecisionRequest::Certainty { view, .. } => (view.db.same_handle(db), false),
+    }
+}
+
+/// Re-point the views flagged by `(left, right)` (see [`tracking`]) to `db`; the
+/// others are left alone.
+fn rebind(
     request: &DecisionRequest,
-    rebind_left: bool,
-    rebind_right: bool,
+    (left, right): (bool, bool),
     db: &CDatabase,
 ) -> DecisionRequest {
     let rebind = |view: &View, flag: bool| -> View {
@@ -617,26 +579,63 @@ fn rebind_standing(
     };
     match request {
         DecisionRequest::Membership { view, instance } => DecisionRequest::Membership {
-            view: rebind(view, rebind_left),
+            view: rebind(view, left),
             instance: instance.clone(),
         },
         DecisionRequest::Uniqueness { view, instance } => DecisionRequest::Uniqueness {
-            view: rebind(view, rebind_left),
+            view: rebind(view, left),
             instance: instance.clone(),
         },
-        DecisionRequest::Containment { left, right } => DecisionRequest::Containment {
-            left: rebind(left, rebind_left),
-            right: rebind(right, rebind_right),
+        DecisionRequest::Containment {
+            left: lview,
+            right: rview,
+        } => DecisionRequest::Containment {
+            left: rebind(lview, left),
+            right: rebind(rview, right),
         },
         DecisionRequest::Possibility { view, facts } => DecisionRequest::Possibility {
-            view: rebind(view, rebind_left),
+            view: rebind(view, left),
             facts: facts.clone(),
         },
         DecisionRequest::Certainty { view, facts } => DecisionRequest::Certainty {
-            view: rebind(view, rebind_left),
+            view: rebind(view, left),
             facts: facts.clone(),
         },
     }
+}
+
+/// Apply `delta` to `prev` and retire the caches of everything it dissolved: old shard
+/// groups that no longer appear in the new graph, the previous joint value, and the
+/// conditions the retired value no longer shares with the live one (the SatCache is
+/// keyed by condition, not database).  The one delta step behind
+/// [`Session::redecide_all`] and [`Session::push_delta`].
+fn advance(
+    engine: &Engine,
+    prev: &CDatabase,
+    delta: &Delta,
+) -> Result<(CDatabase, DbDelta), DeltaError> {
+    let (db, change) = prev.apply(delta)?;
+    if !change.is_noop() {
+        for old in prev.shard_groups() {
+            let survives = db
+                .shard_groups()
+                .iter()
+                .any(|new| new.database() == old.database());
+            if !survives {
+                engine.retire_database(old.database());
+            }
+        }
+        engine.retire_database(prev);
+        engine.retire_conditions(prev, &db);
+    }
+    Ok((db, change))
+}
+
+/// Decide `requests` with the memo pinned for the whole batch: a bounded memo must not
+/// evict a carried-over verdict between the delta and the request that replays it.
+fn replay(requests: &[DecisionRequest], engine: &Engine, workers: usize) -> Vec<DecisionOutcome> {
+    let _pin = engine.pin_memo();
+    run_batch(requests, engine, workers)
 }
 
 /// Convenience one-shot [`Session::redecide_all`] with all cores and the default
@@ -650,44 +649,6 @@ pub fn redecide_all(
 ) -> Result<Redecision, DeltaError> {
     Session::sized(&EngineConfig::parallel(Budget::default()), requests.len())
         .redecide_all(prev, delta, requests)
-}
-
-/// Re-point a request's view(s) from `prev` to `next`; views over other databases are
-/// left alone.
-fn rebind_request(
-    request: &DecisionRequest,
-    prev: &CDatabase,
-    next: &CDatabase,
-) -> DecisionRequest {
-    let rebind = |view: &View| -> View {
-        if view.db == *prev {
-            View::new(view.query.clone(), next.clone())
-        } else {
-            view.clone()
-        }
-    };
-    match request {
-        DecisionRequest::Membership { view, instance } => DecisionRequest::Membership {
-            view: rebind(view),
-            instance: instance.clone(),
-        },
-        DecisionRequest::Uniqueness { view, instance } => DecisionRequest::Uniqueness {
-            view: rebind(view),
-            instance: instance.clone(),
-        },
-        DecisionRequest::Containment { left, right } => DecisionRequest::Containment {
-            left: rebind(left),
-            right: rebind(right),
-        },
-        DecisionRequest::Possibility { view, facts } => DecisionRequest::Possibility {
-            view: rebind(view),
-            facts: facts.clone(),
-        },
-        DecisionRequest::Certainty { view, facts } => DecisionRequest::Certainty {
-            view: rebind(view),
-            facts: facts.clone(),
-        },
-    }
 }
 
 /// Decide one request behind the per-request isolation boundary: a panic anywhere in
@@ -927,5 +888,57 @@ mod tests {
         assert!(update.change.is_noop());
         assert_eq!((update.redecided, update.skipped), (0, 2));
         assert!(update.flips.is_empty());
+    }
+
+    /// A view of a separately built database that merely *equals* the mutated one is
+    /// about that other database: a delta must re-point views of the mutated handle
+    /// (its clones) and leave the equal-valued peer alone — in `redecide_all` and in
+    /// `push_delta` alike.
+    #[test]
+    fn views_of_an_equal_valued_other_database_are_not_rebound() {
+        let codd = || CDatabase::single(CTable::codd("R", 1, [vec![Term::constant(1)]]).unwrap());
+        let (a, b) = (codd(), codd());
+        assert!(a == b && !a.same_handle(&b) && a.same_handle(&a.clone()));
+        let requests = vec![
+            // A ⊆ B: true before the delta, false once A gains R(2).
+            DecisionRequest::Containment {
+                left: View::identity(a.clone()),
+                right: View::identity(b.clone()),
+            },
+            // A ⊆ A: both sides track A, so it stays true.
+            DecisionRequest::Containment {
+                left: View::identity(a.clone()),
+                right: View::identity(a.clone()),
+            },
+        ];
+        let delta = Delta::new().insert("R", CTuple::of_terms([Term::constant(2)]));
+        let cfg = EngineConfig::sequential(Budget(1_000_000));
+        let answers = |outcomes: &[DecisionOutcome]| -> Vec<Result<bool, DecisionError>> {
+            outcomes.iter().map(|o| o.answer.clone()).collect()
+        };
+
+        let (next, _) = a.apply(&delta).expect("delta applies");
+        let fresh = decide_all_with(
+            &[DecisionRequest::Containment {
+                left: View::identity(next),
+                right: View::identity(b),
+            }],
+            &cfg,
+        );
+        assert_eq!(fresh[0].answer, Ok(false));
+
+        let redecision = Session::new(&cfg)
+            .redecide_all(&a, &delta, &requests)
+            .expect("delta applies");
+        assert_eq!(answers(&redecision.outcomes), vec![Ok(false), Ok(true)]);
+
+        let mut session = Session::new(&cfg);
+        let (ids, baselines) = session.register_standing(&a, &requests);
+        assert_eq!(answers(&baselines), vec![Ok(true), Ok(true)]);
+        let update = session.push_delta(&delta).expect("delta applies");
+        assert_eq!(update.flips.len(), 1);
+        assert_eq!(update.flips[0].request_id, ids[0]);
+        assert_eq!(update.flips[0].new.answer, Ok(false));
+        assert_eq!(session.standing_outcome(ids[1]).unwrap().answer, Ok(true));
     }
 }

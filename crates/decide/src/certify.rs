@@ -255,7 +255,7 @@ pub(crate) fn per_shard_witness(
     let mut merged: Binding = Vec::new();
     for (group, part) in db.shard_groups().iter().zip(&parts) {
         let gdb = group.database();
-        let (ok, cert) = engine.memo_certified(op, gdb, part, None, || {
+        let (ok, cert) = engine.memo_decide(op, gdb, part, None, true, || {
             let (found, w) = group_search(gdb, part, &ctx.fork())?;
             let cert = if found {
                 w.map(|w| Certificate::witness(valuation(w)))

@@ -151,11 +151,12 @@ fn certified_per_shard(view0: &View, view: &View, engine: &Engine, strategy: Str
             .expect("strategy_with verified the partitions align");
         let (ldb, rdb) = (left.database(), right.database());
         let empty = Instance::new();
-        let outcome = engine.memo_certified(
+        let outcome = engine.memo_decide(
             crate::engine::MemoOp::Containment,
             ldb,
             &empty,
             Some(rdb),
+            true,
             || {
                 let decision = decide_certified(
                     &View::identity(ldb.clone()),
@@ -265,18 +266,19 @@ fn per_shard(view0: &View, view: &View, engine: &Engine) -> Result<bool, Decisio
         // untouched and two different pairs can never collide.
         let (ldb, rdb) = (left.database(), right.database());
         let empty = Instance::new();
-        let answer = engine.memo_decide(
+        let (answer, _) = engine.memo_decide(
             crate::engine::MemoOp::Containment,
             ldb,
             &empty,
             Some(rdb),
+            false,
             || {
-                decide_with(
+                let decision = decide_with(
                     &View::identity(ldb.clone()),
                     &View::identity(rdb.clone()),
                     engine,
-                )
-                .answer
+                );
+                decision.answer.map(|a| (a, None))
             },
         )?;
         if !answer {

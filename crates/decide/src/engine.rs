@@ -124,7 +124,8 @@ pub struct EngineConfig {
     pub cancel: Option<Arc<CancelToken>>,
     /// Upper bound on decision-memo entries.  When exceeded, a second-chance (clock)
     /// sweep evicts cold entries — certificates evict with their verdicts — except
-    /// while a [`crate::batch::Session::redecide_all`] replay holds the memo pinned.
+    /// while a delta replay ([`crate::batch::Session::redecide_all`] or
+    /// [`crate::batch::Session::push_delta`]) holds the memo pinned.
     /// `None` (the default) never evicts.
     pub memo_capacity: Option<usize>,
     /// Deterministic fault injection for the robustness test-suite; `None` (the
@@ -1068,8 +1069,8 @@ pub struct Engine {
 /// Eviction policy: every insert that pushes `entries` past
 /// [`EngineConfig::memo_capacity`] sweeps the clock hand — a referenced entry (hit
 /// since the hand last passed) gets its bit cleared and one more lap, an unreferenced
-/// one evicts, certificate and all.  While `pins > 0` (a
-/// [`crate::batch::Session::redecide_all`] replay in flight) nothing evicts; the
+/// one evicts, certificate and all.  While `pins > 0` (a `batch::Session` delta
+/// replay in flight) nothing evicts; the
 /// unpin re-enforces the bound.  Correctness does not depend on the policy at all:
 /// an evicted entry is simply recomputed on the next miss, and only definite answers
 /// are ever stored, so the recomputed verdict is identical.
@@ -1177,65 +1178,23 @@ impl Engine {
     }
 
     /// Replay the verdict for `(op, db, request, rhs)` from the decision memo, or run
-    /// `compute` and store its (definite) answer.  Budget-exceeded results are returned
-    /// but never cached — a later call with more budget must be able to succeed.
+    /// `compute` and store its (definite) result — the one entry path for certified and
+    /// uncertified decides alike, with the certificate as an optional payload.
+    ///
+    /// An entry answers the lookup when it exists and, for a caller that wants
+    /// `evidence`, when it also holds a certificate.  Otherwise `compute` runs: an
+    /// evidence-wanting caller then upgrades an existing entry in place (same clock
+    /// slot), so subsequent replays stay auditable; an uncertified caller inserts only
+    /// when no entry exists — the verdict is deterministic, so the first insert wins.
+    /// Errors — budget exhaustion above all — are returned but never cached: a later
+    /// call with more budget must be able to succeed.
     pub(crate) fn memo_decide(
         &self,
         op: MemoOp,
         db: &CDatabase,
         request: &Instance,
         rhs: Option<&CDatabase>,
-        compute: impl FnOnce() -> Result<bool, DecisionError>,
-    ) -> Result<bool, DecisionError> {
-        let key = MemoKey {
-            op,
-            db: db.clone(),
-            request: request.clone(),
-            rhs: rhs.cloned(),
-        };
-        {
-            let mut memo = lock_unpoisoned(&self.decision_memo);
-            if let Some(entry) = memo.entries.get_mut(&key) {
-                entry.referenced = true;
-                self.memo_hits.fetch_add(1, Ordering::Relaxed);
-                return Ok(entry.answer);
-            }
-        }
-        // Compute outside the lock: a slow group search must not block unrelated
-        // lookups, and — the per-group isolation boundary — a panicking group search
-        // can poison nothing here.  The panic becomes this group's `WorkerPanicked`;
-        // sibling groups and requests proceed.  A concurrent duplicate compute is
-        // benign (the verdict is deterministic, first insert wins).
-        let verdict = catch_unwind(AssertUnwindSafe(compute))
-            .unwrap_or_else(|p| Err(DecisionError::WorkerPanicked(panic_message(p.as_ref()))))?;
-        self.memo_misses.fetch_add(1, Ordering::Relaxed);
-        let mut memo = lock_unpoisoned(&self.decision_memo);
-        if !memo.entries.contains_key(&key) {
-            memo.entries.insert(
-                key.clone(),
-                MemoEntry {
-                    answer: verdict,
-                    certificate: None,
-                    referenced: false,
-                },
-            );
-            memo.clock.push_back(key);
-            self.enforce_memo_capacity(&mut memo);
-        }
-        Ok(verdict)
-    }
-
-    /// [`Engine::memo_decide`] for certified decides: replay both the verdict *and* its
-    /// evidence from the memo, or run `compute` and store its result.  An entry written
-    /// by an uncertified decide (no evidence) counts as a miss — the certified search
-    /// runs and upgrades the entry in place, so subsequent replays stay auditable.
-    /// Budget-exceeded results are never cached.
-    pub(crate) fn memo_certified(
-        &self,
-        op: MemoOp,
-        db: &CDatabase,
-        request: &Instance,
-        rhs: Option<&CDatabase>,
+        evidence: bool,
         compute: impl FnOnce() -> Result<(bool, Option<Certificate>), DecisionError>,
     ) -> Result<(bool, Option<Certificate>), DecisionError> {
         let key = MemoKey {
@@ -1247,31 +1206,36 @@ impl Engine {
         {
             let mut memo = lock_unpoisoned(&self.decision_memo);
             if let Some(entry) = memo.entries.get_mut(&key) {
-                if entry.certificate.is_some() {
+                if !evidence || entry.certificate.is_some() {
                     entry.referenced = true;
                     self.memo_hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok((entry.answer, entry.certificate.clone()));
+                    let certificate = evidence.then(|| entry.certificate.clone());
+                    return Ok((entry.answer, certificate.flatten()));
                 }
             }
         }
-        // Same out-of-lock compute + per-group panic boundary as `memo_decide`.
-        let result = catch_unwind(AssertUnwindSafe(compute))
-            .unwrap_or_else(|p| Err(DecisionError::WorkerPanicked(panic_message(p.as_ref()))));
-        let (answer, certificate) = result?;
+        // Compute outside the lock: a slow group search must not block unrelated
+        // lookups, and — the per-group isolation boundary — a panicking group search
+        // can poison nothing here.  The panic becomes this group's `WorkerPanicked`;
+        // sibling groups and requests proceed.  A concurrent duplicate compute is
+        // benign (the verdict is deterministic).
+        let (answer, certificate) = catch_unwind(AssertUnwindSafe(compute))
+            .unwrap_or_else(|p| Err(DecisionError::WorkerPanicked(panic_message(p.as_ref()))))?;
         self.memo_misses.fetch_add(1, Ordering::Relaxed);
         let mut memo = lock_unpoisoned(&self.decision_memo);
-        let upgrade = memo.entries.contains_key(&key);
-        memo.entries.insert(
-            key.clone(),
-            MemoEntry {
-                answer,
-                certificate: certificate.clone(),
-                referenced: false,
-            },
-        );
-        if !upgrade {
-            memo.clock.push_back(key);
-            self.enforce_memo_capacity(&mut memo);
+        let fresh = MemoEntry {
+            answer,
+            certificate: certificate.clone(),
+            referenced: false,
+        };
+        match memo.entries.get_mut(&key) {
+            Some(entry) if evidence => *entry = fresh,
+            Some(_) => {}
+            None => {
+                memo.entries.insert(key.clone(), fresh);
+                memo.clock.push_back(key);
+                self.enforce_memo_capacity(&mut memo);
+            }
         }
         Ok((answer, certificate))
     }
@@ -1317,8 +1281,8 @@ impl Engine {
         }
     }
 
-    /// Pin the decision memo: nothing evicts while any pin is alive.  Held by
-    /// [`crate::batch::Session::redecide_all`] around the replay batch, so eviction
+    /// Pin the decision memo: nothing evicts while any pin is alive.  Held by the
+    /// `batch::Session` delta paths around their replay batch, so eviction
     /// can never race an in-flight replay; dropping the last pin re-enforces the
     /// capacity bound.
     pub(crate) fn pin_memo(&self) -> MemoPin<'_> {
@@ -1355,8 +1319,8 @@ impl Engine {
     /// [`Engine::retire_database`] for the [`SatCache`]: conditions are shared across
     /// database versions (most rows survive a small delta), so a retire must be
     /// keep-aware — dropping everything `retired` ever interned would also purge the
-    /// live database's entries.  Called by [`crate::batch::Session::redecide_all`]
-    /// when a delta replaces the database value.
+    /// live database's entries.  Called by the `batch::Session` delta step (behind
+    /// `redecide_all` and `push_delta`) when a delta replaces the database value.
     pub fn retire_conditions(&self, retired: &CDatabase, live: &CDatabase) {
         fn conditions(db: &CDatabase) -> HashSet<Conjunction> {
             let mut set = HashSet::new();
@@ -1689,12 +1653,17 @@ impl Engine {
             // A group with no facts still gates the conjunction: its globals must be
             // satisfiable (the joint base store asserts them too), which is exactly what
             // `covering_ctx` on an empty part checks.
-            let covered =
-                self.memo_decide(MemoOp::Covering, group.database(), part, None, || {
-                    Ok(self
-                        .covering_ctx(group.database(), part, &ctx.fork())?
-                        .found)
-                })?;
+            let (covered, _) = self.memo_decide(
+                MemoOp::Covering,
+                group.database(),
+                part,
+                None,
+                false,
+                || {
+                    let verdict = self.covering_ctx(group.database(), part, &ctx.fork())?;
+                    Ok((verdict.found, None))
+                },
+            )?;
             if !covered {
                 return Ok(false);
             }
@@ -1760,12 +1729,17 @@ impl Engine {
             if part.relation_count() == 0 {
                 continue;
             }
-            let missing =
-                self.memo_decide(MemoOp::MissingAny, group.database(), part, None, || {
-                    Ok(self
-                        .missing_any_ctx(group.database(), part, &ctx.fork())?
-                        .found)
-                })?;
+            let (missing, _) = self.memo_decide(
+                MemoOp::MissingAny,
+                group.database(),
+                part,
+                None,
+                false,
+                || {
+                    let verdict = self.missing_any_ctx(group.database(), part, &ctx.fork())?;
+                    Ok((verdict.found, None))
+                },
+            )?;
             if missing {
                 return Ok(true);
             }
@@ -1811,8 +1785,8 @@ impl Engine {
                     }
                 }
             }
-            let escapes = self.memo_decide(MemoOp::Escape, gdb, &part, None, || {
-                Ok(self.fact_outside_ctx(gdb, &part, &ctx.fork())?.found)
+            let (escapes, _) = self.memo_decide(MemoOp::Escape, gdb, &part, None, false, || {
+                Ok((self.fact_outside_ctx(gdb, &part, &ctx.fork())?.found, None))
             })?;
             if escapes {
                 return Ok(true);

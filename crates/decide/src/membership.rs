@@ -17,7 +17,7 @@
 
 use crate::certify;
 use crate::common::{evaluation_delta, Budget, Decision, DecisionError, Strategy};
-use crate::engine::{ChoiceNode, ChoiceSearch, Ctx, Engine, EngineConfig, Verdict};
+use crate::engine::{ChoiceNode, ChoiceSearch, Ctx, Engine, EngineConfig, MemoOp, Verdict};
 use pw_condition::{Atom, ConstraintSet, Term};
 use pw_core::{CDatabase, CTable, Certificate, View};
 use pw_relational::{Instance, Sym};
@@ -143,14 +143,15 @@ pub(crate) fn per_shard_with(
     let ctx = engine.ctx();
     for (group, part) in db.shard_groups().iter().zip(&parts) {
         let sub = group.database();
-        let ok = engine.memo_decide(crate::engine::MemoOp::Member, sub, part, None, || {
-            if sub.is_decoupled_codd() {
-                Ok(codd_matching(sub, part))
+        let (ok, _) = engine.memo_decide(MemoOp::Member, sub, part, None, false, || {
+            let found = if sub.is_decoupled_codd() {
+                codd_matching(sub, part)
             } else {
                 // One budget pool across the conjunction, a fresh cancellation scope per
                 // group: a witness in one group must not stop the next group's search.
-                Ok(backtracking_ctx(sub, part, engine, &ctx.fork())?.found)
-            }
+                backtracking_ctx(sub, part, engine, &ctx.fork())?.found
+            };
+            Ok((found, None))
         })?;
         if !ok {
             return Ok(false);

@@ -232,7 +232,7 @@ fn certified_per_shard(
                 }
             }
         }
-        let outcome = engine.memo_certified(MemoOp::Escape, gdb, &part, None, || {
+        let outcome = engine.memo_decide(MemoOp::Escape, gdb, &part, None, true, || {
             let verdict = engine.fact_outside_ctx(gdb, &part, &ctx.fork())?;
             Ok(certify::counter_or_exhaustive(verdict, gdb, &part))
         });
@@ -277,7 +277,7 @@ fn certified_per_shard(
                 continue;
             }
             let gdb = group.database();
-            let outcome = engine.memo_certified(MemoOp::MissingAny, gdb, part, None, || {
+            let outcome = engine.memo_decide(MemoOp::MissingAny, gdb, part, None, true, || {
                 let verdict = engine.missing_any_ctx(gdb, part, &ctx.fork())?;
                 Ok(certify::counter_or_exhaustive(verdict, gdb, part))
             });

@@ -13,13 +13,20 @@
 //!
 //! ## State
 //!
-//! Each registered c-database gets a `DbEntry`: its current [`CDatabase`] value, a
-//! long-lived [`Session`] (so repeated and incremental decisions hit the engine's
-//! caches), and the *standing* requests that `POST …/delta` re-decides after every
-//! mutation.  Lock order is `op → registry → subscriptions → db → session → standing
-//! → window → routes → flip queue` — `op` is the per-database outer lock serializing
-//! decide/delta cycles, the inner locks are held briefly and never while acquiring a
-//! peer's.
+//! Each registered c-database gets a `DbEntry` with two locks.  `state` guards the
+//! `DbState`: a long-lived [`Session`] (so repeated and incremental decisions hit the
+//! engine's caches), the legacy `"standing": true` request list, the delta window, the
+//! flip routes and the counters.  The session's standing database — bound at
+//! registration — is the **only** authoritative value of the database: every delta is
+//! applied exactly once, by `Session::push_delta`.  `snapshot` is the one published
+//! copy of that value, a clone of the same handle written after each applied delta,
+//! for the cross-database containment resolver: a decide on one database reads a
+//! peer's snapshot and never takes a peer's state lock, so two cross-referencing
+//! decides cannot deadlock.
+//!
+//! Lock order is `state → registry → subscriptions → snapshot → flip queue`.  `state`
+//! is held for a whole decide/delta/subscribe cycle; the others are held briefly and
+//! never while acquiring another lock.
 //!
 //! ## Standing queries
 //!
@@ -43,7 +50,7 @@ use crate::http::{read_request, write_response, Request};
 use crate::json::Json;
 use crate::wire;
 use pw_core::{CDatabase, Delta, DeltaWindow};
-use pw_decide::{Budget, EngineConfig, Session, VerdictFlip};
+use pw_decide::{Budget, DecisionRequest, EngineConfig, Session, VerdictFlip};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -95,25 +102,41 @@ impl Default for ServerConfig {
     }
 }
 
-/// One registered database: its current value, its long-lived session, and the
-/// standing requests replayed after every delta.  `standing` holds the *wire* request
-/// objects, re-decoded against the current database value each time — a decoded
-/// [`pw_decide::DecisionRequest`] pins the database version it was decoded against,
-/// and the wire form is the cheap, always-current spelling.
+/// One registered database (see the module-level "State" notes).
 struct DbEntry {
-    /// Outer lock serializing decide/delta cycles on this database.
-    op: Mutex<()>,
-    db: Mutex<CDatabase>,
-    session: Mutex<Session>,
-    standing: Mutex<Vec<Json>>,
+    /// Everything a decide/delta/subscribe cycle reads or writes; held for the cycle.
+    state: Mutex<DbState>,
+    /// The published copy of the session's standing database, read by other
+    /// databases' containment resolvers.
+    snapshot: Mutex<CDatabase>,
+}
+
+struct DbState {
+    /// The long-lived session.  Its standing set is bound at registration, so
+    /// [`Session::standing_db`] always holds the database's current value.
+    session: Session,
+    /// The legacy `"standing": true` list, as *wire* request objects re-decoded
+    /// against the current value after every delta — a decoded
+    /// [`pw_decide::DecisionRequest`] pins the version it was decoded against, and the
+    /// wire form is the cheap, always-current spelling.
+    standing: Vec<Json>,
     /// The delta window governing this database's mutation stream, when a
     /// subscription configured one: deltas buffer here and apply compacted.
-    window: Mutex<Option<DeltaWindow>>,
+    window: Option<DeltaWindow>,
     /// Verdict-flip routing: standing request id → the subscription to notify.
-    routes: Mutex<HashMap<u64, Arc<Subscription>>>,
-    deltas_received: AtomicU64,
-    deltas_applied: AtomicU64,
-    flips_emitted: AtomicU64,
+    routes: HashMap<u64, Arc<Subscription>>,
+    deltas_received: u64,
+    deltas_applied: u64,
+    flips_emitted: u64,
+}
+
+impl DbState {
+    /// The database's current (and only authoritative) value.
+    fn db(&self) -> &CDatabase {
+        self.session
+            .standing_db()
+            .expect("the standing set is bound at registration")
+    }
 }
 
 /// Events a slow long-poller can lag behind before the oldest are dropped (and
@@ -464,11 +487,11 @@ fn entry_of(shared: &Shared, id: u64) -> Option<Arc<DbEntry>> {
     lock(&shared.registry).get(&id).cloned()
 }
 
-/// The containment right-hand-side resolver: brief registry + db locks, no other lock
-/// held while a peer's is taken (see the module-level lock order).
+/// The containment right-hand-side resolver: brief registry + snapshot locks, never a
+/// peer's state lock (see the module-level lock order).
 fn db_of(shared: &Shared, id: u64) -> Option<CDatabase> {
     let entry = entry_of(shared, id)?;
-    let db = lock(&entry.db).clone();
+    let db = lock(&entry.snapshot).clone();
     Some(db)
 }
 
@@ -486,21 +509,25 @@ fn register(shared: &Shared, body: &Json) -> Reply {
         Budget(shared.config.budget),
     );
     cfg.certify = certify;
-    let session = Session::new(&cfg);
+    let mut session = Session::new(&cfg);
+    // Bind the standing set now: from here on the session's standing database is the
+    // database's one authoritative value.  An empty set decides nothing.
+    session.register_standing(&db, &[]);
     let tables = db.table_count();
     let id = shared.next_id.fetch_add(1, Ordering::SeqCst) + 1;
     lock(&shared.registry).insert(
         id,
         Arc::new(DbEntry {
-            op: Mutex::new(()),
-            db: Mutex::new(db),
-            session: Mutex::new(session),
-            standing: Mutex::new(Vec::new()),
-            window: Mutex::new(None),
-            routes: Mutex::new(HashMap::new()),
-            deltas_received: AtomicU64::new(0),
-            deltas_applied: AtomicU64::new(0),
-            flips_emitted: AtomicU64::new(0),
+            snapshot: Mutex::new(db),
+            state: Mutex::new(DbState {
+                session,
+                standing: Vec::new(),
+                window: None,
+                routes: HashMap::new(),
+                deltas_received: 0,
+                deltas_applied: 0,
+                flips_emitted: 0,
+            }),
         }),
     );
     ok_reply(
@@ -547,24 +574,17 @@ fn decide(shared: &Shared, id: u64, request: &Request, body: &Json) -> Reply {
         .and_then(Json::as_bool)
         .unwrap_or(false);
 
-    let _op = lock(&entry.op);
-    let db = lock(&entry.db).clone();
-    let mut requests = Vec::with_capacity(requests_json.len());
-    let resolve = |rid: u64| db_of(shared, rid);
-    for (i, rj) in requests_json.iter().enumerate() {
-        match wire::decode_request(rj, &db, &resolve) {
-            Ok(r) => requests.push(r),
-            Err(e) => {
-                return error_reply(400, "bad-request", &format!("requests[{i}]: {e}"));
-            }
-        }
-    }
+    let mut state = lock(&entry.state);
+    let requests = match decode_requests(shared, requests_json, state.db()) {
+        Ok(requests) => requests,
+        Err(message) => return error_reply(400, "bad-request", &message),
+    };
     let outcomes = match deadline {
-        Some(d) => lock(&entry.session).decide_all_within(&requests, d),
-        None => lock(&entry.session).decide_all(&requests),
+        Some(d) => state.session.decide_all_within(&requests, d),
+        None => state.session.decide_all(&requests),
     };
     if standing {
-        *lock(&entry.standing) = requests_json.to_vec();
+        state.standing = requests_json.to_vec();
     }
     ok_reply(
         200,
@@ -576,6 +596,23 @@ fn decide(shared: &Shared, id: u64, request: &Request, body: &Json) -> Reply {
             ),
         ]),
     )
+}
+
+/// Decode wire requests against `db`, resolving containment right-hand sides through
+/// the published snapshots; the error names the offending position.
+fn decode_requests(
+    shared: &Shared,
+    requests_json: &[Json],
+    db: &CDatabase,
+) -> Result<Vec<DecisionRequest>, String> {
+    let resolve = |rid: u64| db_of(shared, rid);
+    requests_json
+        .iter()
+        .enumerate()
+        .map(|(i, rj)| {
+            wire::decode_request(rj, db, &resolve).map_err(|e| format!("requests[{i}]: {e}"))
+        })
+        .collect()
 }
 
 fn delta(shared: &Shared, id: u64, body: &Json) -> Reply {
@@ -592,126 +629,95 @@ fn delta(shared: &Shared, id: u64, body: &Json) -> Reply {
         None => return error_reply(400, "bad-request", "missing field 'delta'"),
     };
 
-    let _op = lock(&entry.op);
+    let mut guard = lock(&entry.state);
+    let state = &mut *guard;
     if incoming.is_some() {
-        entry.deltas_received.fetch_add(1, Ordering::SeqCst);
+        state.deltas_received += 1;
     }
     // Window gate: with a window configured, deltas buffer until the window emits a
     // compacted batch (on its own cadence, or forced now by `"flush": true`).
-    let applied: Delta = {
-        let mut slot = lock(&entry.window);
-        match (slot.as_mut(), incoming) {
-            (None, Some(delta)) => delta,
-            (None, None) => {
-                return error_reply(400, "bad-request", "'flush' requires a delta window")
-            }
-            (Some(window), incoming) => {
-                let emitted = match incoming {
-                    Some(delta) => match window.push(delta) {
-                        Ok(emitted) => emitted,
-                        Err(e) => return error_reply(400, "bad-delta", &e.to_string()),
-                    },
-                    None => None,
-                };
-                let emitted = match emitted {
-                    Some(d) => Some(d),
-                    None if flush => window.flush(),
-                    None => None,
-                };
-                match emitted {
-                    Some(d) => d,
-                    None => return ok_reply(200, buffered_reply(window.pending())),
-                }
+    let applied: Delta = match (state.window.as_mut(), incoming) {
+        (None, Some(delta)) => delta,
+        (None, None) => return error_reply(400, "bad-request", "'flush' requires a delta window"),
+        (Some(window), incoming) => {
+            let emitted = match incoming {
+                Some(delta) => match window.push(delta) {
+                    Ok(emitted) => emitted,
+                    Err(e) => return error_reply(400, "bad-delta", &e.to_string()),
+                },
+                None => None,
+            };
+            let emitted = match emitted {
+                Some(d) => Some(d),
+                None if flush => window.flush(),
+                None => None,
+            };
+            match emitted {
+                Some(d) => d,
+                None => return ok_reply(200, buffered_reply(window.pending())),
             }
         }
     };
 
-    let prev = lock(&entry.db).clone();
-    let standing_json = lock(&entry.standing).clone();
-    let mut standing = Vec::with_capacity(standing_json.len());
-    let resolve = |rid: u64| db_of(shared, rid);
-    for (i, rj) in standing_json.iter().enumerate() {
-        match wire::decode_request(rj, &prev, &resolve) {
-            Ok(r) => standing.push(r),
-            Err(e) => {
-                return error_reply(
-                    500,
-                    "internal",
-                    &format!("standing request {i} no longer decodes: {e}"),
-                );
-            }
-        }
-    }
-    let mut session = lock(&entry.session);
-    let redecision = match session.redecide_all(&prev, &applied, &standing) {
-        Ok(r) => r,
+    let update = match state.session.push_delta(&applied) {
+        Ok(update) => update,
         Err(e) => {
-            drop(session);
             // A window validated this delta before emitting it, so `apply` accepting
             // it is the expected case; on the unexpected rejection, rebase the window
             // over the unchanged database so the two cannot drift apart.
-            let mut slot = lock(&entry.window);
-            if let Some(window) = slot.as_ref() {
-                *slot = Some(DeltaWindow::new(&prev, window.kind()));
+            if let Some(kind) = state.window.as_ref().map(DeltaWindow::kind) {
+                state.window = Some(DeltaWindow::new(state.db(), kind));
             }
             return error_reply(400, "bad-delta", &e.to_string());
         }
     };
-    // The subscription path: re-decide only the standing requests this delta can
-    // affect.  `redecide_all` just accepted the same delta, so rejection here is
-    // unreachable; `.ok()` keeps the legacy reply intact regardless.
-    let update = if session.standing_db().is_some() {
-        session.push_delta(&applied).ok()
-    } else {
-        None
-    };
-    drop(session);
-    *lock(&entry.db) = redecision.db;
-    entry.deltas_applied.fetch_add(1, Ordering::SeqCst);
+    *lock(&entry.snapshot) = update.db.clone();
+    state.deltas_applied += 1;
 
-    let (flips, redecided, skipped) = match &update {
-        Some(u) => (u.flips.as_slice(), u.redecided, u.skipped),
-        None => (&[] as &[VerdictFlip], 0, 0),
-    };
-    let seq_base = entry
-        .flips_emitted
-        .fetch_add(flips.len() as u64, Ordering::SeqCst);
-    if !flips.is_empty() {
-        let routes = lock(&entry.routes);
-        for flip in flips {
-            if let Some(sub) = routes.get(&flip.request_id) {
-                sub.push_flip(flip);
-            }
+    let seq_base = state.flips_emitted;
+    state.flips_emitted += update.flips.len() as u64;
+    for flip in &update.flips {
+        if let Some(sub) = state.routes.get(&flip.request_id) {
+            sub.push_flip(flip);
         }
     }
+    // The legacy list, decoded against the new value (its spelling never names a
+    // version) and decided afresh: clean groups replay from the memo.
+    let standing = match decode_requests(shared, &state.standing, &update.db) {
+        Ok(requests) => requests,
+        Err(message) => {
+            return error_reply(
+                500,
+                "internal",
+                &format!("the standing list no longer decodes: {message}"),
+            )
+        }
+    };
+    let outcomes = state.session.decide_all(&standing);
+    drop(guard);
     ok_reply(
         200,
         Json::Object(vec![
             ("schema_version".into(), Json::Int(wire::SCHEMA_VERSION)),
-            ("noop".into(), Json::Bool(redecision.change.is_noop())),
+            ("noop".into(), Json::Bool(update.change.is_noop())),
             ("buffered".into(), Json::Bool(false)),
             (
                 "outcomes".into(),
-                Json::Array(
-                    redecision
-                        .outcomes
-                        .iter()
-                        .map(wire::encode_decision)
-                        .collect(),
-                ),
+                Json::Array(outcomes.iter().map(wire::encode_decision).collect()),
             ),
             (
                 "flips".into(),
                 Json::Array(
-                    flips
+                    update
+                        .flips
                         .iter()
                         .enumerate()
                         .map(|(i, f)| wire::encode_flip(seq_base + i as u64 + 1, f))
                         .collect(),
                 ),
             ),
-            ("redecided".into(), Json::Int(redecided as i64)),
-            ("skipped".into(), Json::Int(skipped as i64)),
+            ("redecided".into(), Json::Int(update.redecided as i64)),
+            ("skipped".into(), Json::Int(update.skipped as i64)),
         ]),
     )
 }
@@ -754,23 +760,17 @@ fn subscribe(shared: &Shared, body: &Json) -> Reply {
         },
     };
 
-    let _op = lock(&entry.op);
-    let db = lock(&entry.db).clone();
-    let resolve = |rid: u64| db_of(shared, rid);
-    let mut requests = Vec::with_capacity(requests_json.len());
-    for (i, rj) in requests_json.iter().enumerate() {
-        match wire::decode_request(rj, &db, &resolve) {
-            Ok(r) => requests.push(r),
-            Err(e) => {
-                return error_reply(400, "bad-request", &format!("requests[{i}]: {e}"));
-            }
-        }
-    }
+    let mut guard = lock(&entry.state);
+    let state = &mut *guard;
+    let db = state.db().clone();
+    let requests = match decode_requests(shared, requests_json, &db) {
+        Ok(requests) => requests,
+        Err(message) => return error_reply(400, "bad-request", &message),
+    };
     if let Some(kind) = window {
         // Replacing a window is only safe while it holds nothing: buffered deltas are
         // phrased against the virtual row counts and would be lost wholesale.
-        let mut slot = lock(&entry.window);
-        match slot.as_ref() {
+        match &state.window {
             Some(active) if active.pending() > 0 => {
                 return error_reply(
                     409,
@@ -781,10 +781,10 @@ fn subscribe(shared: &Shared, body: &Json) -> Reply {
                     ),
                 );
             }
-            _ => *slot = Some(DeltaWindow::new(&db, kind)),
+            _ => state.window = Some(DeltaWindow::new(&db, kind)),
         }
     }
-    let (ids, baselines) = lock(&entry.session).register_standing(&db, &requests);
+    let (ids, baselines) = state.session.register_standing(&db, &requests);
     let sub_id = shared.next_sub_id.fetch_add(1, Ordering::SeqCst) + 1;
     let sub = Arc::new(Subscription {
         db_id,
@@ -797,12 +797,10 @@ fn subscribe(shared: &Shared, body: &Json) -> Reply {
         ready: Condvar::new(),
     });
     lock(&shared.subscriptions).insert(sub_id, Arc::clone(&sub));
-    {
-        let mut routes = lock(&entry.routes);
-        for &rid in &ids {
-            routes.insert(rid, Arc::clone(&sub));
-        }
+    for &rid in &ids {
+        state.routes.insert(rid, Arc::clone(&sub));
     }
+    drop(guard);
     ok_reply(
         201,
         Json::Object(vec![
@@ -915,22 +913,16 @@ fn stats(shared: &Shared, id: u64) -> Reply {
     let Some(entry) = entry_of(shared, id) else {
         return error_reply(404, "not-found", &format!("no database with id {id}"));
     };
-    let (engine_stats, memo_stats) = {
-        let session = lock(&entry.session);
-        (session.engine().stats(), session.engine().memo_stats())
-    };
-    let standing = lock(&entry.standing).len();
-    let subscribed = lock(&entry.session).standing_len();
     let subscriptions = lock(&shared.subscriptions)
         .values()
         .filter(|s| s.db_id == id)
         .count();
-    let (window_pending, window_spec) = {
-        let slot = lock(&entry.window);
-        match slot.as_ref() {
-            Some(w) => (w.pending() as i64, wire::encode_window(w.kind())),
-            None => (0, Json::Null),
-        }
+    let state = lock(&entry.state);
+    let engine_stats = state.session.engine().stats();
+    let memo_stats = state.session.engine().memo_stats();
+    let (window_pending, window_spec) = match &state.window {
+        Some(w) => (w.pending() as i64, wire::encode_window(w.kind())),
+        None => (0, Json::Null),
     };
     ok_reply(
         200,
@@ -938,20 +930,26 @@ fn stats(shared: &Shared, id: u64) -> Reply {
             ("schema_version".into(), Json::Int(wire::SCHEMA_VERSION)),
             ("engine".into(), wire::encode_engine_stats(&engine_stats)),
             ("memo".into(), wire::encode_memo_stats(&memo_stats)),
-            ("standing_requests".into(), Json::Int(standing as i64)),
-            ("subscribed_requests".into(), Json::Int(subscribed as i64)),
+            (
+                "standing_requests".into(),
+                Json::Int(state.standing.len() as i64),
+            ),
+            (
+                "subscribed_requests".into(),
+                Json::Int(state.session.standing_len() as i64),
+            ),
             ("subscriptions".into(), Json::Int(subscriptions as i64)),
             (
                 "deltas_received".into(),
-                Json::Int(entry.deltas_received.load(Ordering::SeqCst) as i64),
+                Json::Int(state.deltas_received as i64),
             ),
             (
                 "deltas_applied".into(),
-                Json::Int(entry.deltas_applied.load(Ordering::SeqCst) as i64),
+                Json::Int(state.deltas_applied as i64),
             ),
             (
                 "flips_emitted".into(),
-                Json::Int(entry.flips_emitted.load(Ordering::SeqCst) as i64),
+                Json::Int(state.flips_emitted as i64),
             ),
             ("window_pending".into(), Json::Int(window_pending)),
             ("window".into(), window_spec),

@@ -6,6 +6,10 @@
 //!   every request, exactly the JSON the wire encoder derives from the in-process
 //!   [`batch::Session`] run of the same workload: answers, strategies, certificates
 //!   and error shapes alike.
+//! * **The delta path** — subscribe, `"standing": true`, valid and rejected deltas:
+//!   every reply, long-polled flip and memo counter equals a library session driven
+//!   through `register_standing` + `push_delta`, and a containment in a separately
+//!   registered, equal-valued database is never rebound to the mutated one.
 //! * **Bounded admission** — with one worker and a depth-1 queue, a third concurrent
 //!   client is refused immediately with `429` and a `Retry-After` header, never
 //!   queued or hung; after shutdown begins, late clients get a typed `503` while
@@ -278,6 +282,280 @@ fn over_capacity_clients_are_shed_with_429_not_hangs() {
     std::thread::sleep(Duration::from_millis(200));
     let health = client::get(addr, "/healthz").expect("healthz reachable after the squeeze");
     assert_eq!(health.status, 200, "{}", health.body);
+
+    server.shutdown();
+    server.join();
+}
+
+/// Two decoupled Codd relations, `R = {1}` and `S = {2}`.  Built once per call, so two
+/// calls give equal *values* that are different databases — registered separately on
+/// the wire, they are two databases.
+fn two_relation_db() -> CDatabase {
+    CDatabase::new([
+        CTable::codd("R", 1, [vec![Term::constant(1)]]).unwrap(),
+        CTable::codd("S", 1, [vec![Term::constant(2)]]).unwrap(),
+    ])
+}
+
+/// The delta-path workload as the wire spells it: certainty of `R(1)` and of `S(2)`,
+/// possibility of `R(3)`, containment in the equal-valued peer database `right_id`, and
+/// membership of `{R(1), S(2)}`.
+fn delta_path_wire(right_id: u64) -> Vec<Json> {
+    let mut world = Instance::single("R", rel![[1]]);
+    world.insert_relation("S", rel![[2]]);
+    vec![
+        request_json(
+            "certainty",
+            "facts",
+            wire::encode_instance(&Instance::single("R", rel![[1]])),
+        ),
+        request_json(
+            "certainty",
+            "facts",
+            wire::encode_instance(&Instance::single("S", rel![[2]])),
+        ),
+        request_json(
+            "possibility",
+            "facts",
+            wire::encode_instance(&Instance::single("R", rel![[3]])),
+        ),
+        request_json("containment", "right", Json::Int(right_id as i64)),
+        request_json("membership", "instance", wire::encode_instance(&world)),
+    ]
+}
+
+/// [`delta_path_wire`] as library requests over `db`, containment's right over `right`.
+fn delta_path_requests(db: &CDatabase, right: &CDatabase) -> Vec<batch::DecisionRequest> {
+    let view = || View::identity(db.clone());
+    let mut world = Instance::single("R", rel![[1]]);
+    world.insert_relation("S", rel![[2]]);
+    vec![
+        batch::DecisionRequest::Certainty {
+            view: view(),
+            facts: Instance::single("R", rel![[1]]),
+        },
+        batch::DecisionRequest::Certainty {
+            view: view(),
+            facts: Instance::single("S", rel![[2]]),
+        },
+        batch::DecisionRequest::Possibility {
+            view: view(),
+            facts: Instance::single("R", rel![[3]]),
+        },
+        batch::DecisionRequest::Containment {
+            left: view(),
+            right: View::identity(right.clone()),
+        },
+        batch::DecisionRequest::Membership {
+            view: view(),
+            instance: world,
+        },
+    ]
+}
+
+fn encoded(outcomes: &[batch::DecisionOutcome]) -> Json {
+    Json::Array(outcomes.iter().map(wire::encode_decision).collect())
+}
+
+fn post_ok(addr: std::net::SocketAddr, path: &str, body: Vec<(String, Json)>, status: u16) -> Json {
+    let mut members = vec![("schema_version".into(), Json::Int(wire::SCHEMA_VERSION))];
+    members.extend(body);
+    let response = client::post_json(addr, path, &Json::Object(members)).expect("reachable");
+    assert_eq!(response.status, status, "{path}: {}", response.body);
+    response.json().expect("reply is JSON")
+}
+
+/// The whole delta path against a library mirror: register (plus an equal-valued
+/// second database) → subscribe → `"standing": true` decide → valid delta → rejected
+/// delta → valid delta.  Every reply's `outcomes`, `flips`, `redecided` and `skipped`,
+/// the subscription's long-polled flips and the `/stats` memo counters must equal a
+/// [`batch::Session`] driven through `register_standing` + `push_delta` and
+/// `decide_all`.  Containment in the equal-valued peer must flip to `false` when the
+/// delta makes the two databases differ.  Ends with the `409 window-busy` refusal.
+#[test]
+fn delta_path_matches_a_library_session_bit_for_bit() {
+    // One engine thread on both sides: batches run sequentially, so even the memo
+    // hit/miss counters are deterministic.
+    let config = ServerConfig {
+        session_threads: 1,
+        ..quiet_config()
+    };
+    let mut mirror = batch::Session::new(&EngineConfig::with_threads(1, Budget(config.budget)));
+    let server = Server::start(config).expect("server starts");
+    let addr = server.local_addr();
+    let (a, b) = (two_relation_db(), two_relation_db());
+    let a_id = register(addr, &a);
+    let b_id = register(addr, &b);
+    mirror.register_standing(&a, &[]);
+
+    let requests = delta_path_wire(b_id);
+    let reply = post_ok(
+        addr,
+        "/v1/subscriptions",
+        vec![
+            ("database".into(), Json::Int(a_id as i64)),
+            ("requests".into(), Json::Array(requests.clone())),
+        ],
+        201,
+    );
+    let sub_id = reply
+        .get("id")
+        .and_then(Json::as_u64)
+        .expect("subscription id");
+    let (ids, baselines) = mirror.register_standing(&a, &delta_path_requests(&a, &b));
+    assert_eq!(
+        reply.get("request_ids"),
+        Some(&Json::Array(
+            ids.iter().map(|&id| Json::Int(id as i64)).collect()
+        ))
+    );
+    assert_eq!(reply.get("baseline"), Some(&encoded(&baselines)));
+
+    let decide_path = format!("/v1/databases/{a_id}/decide");
+    let reply = post_ok(
+        addr,
+        &decide_path,
+        vec![
+            ("standing".into(), Json::Bool(true)),
+            ("requests".into(), Json::Array(requests)),
+        ],
+        200,
+    );
+    let expected = mirror.decide_all(&delta_path_requests(&a, &b));
+    assert_eq!(reply.get("outcomes"), Some(&encoded(&expected)));
+
+    let delta_path = format!("/v1/databases/{a_id}/delta");
+    let mut flips_emitted = 0u64;
+    let mut mirror_events = Vec::new();
+    let mut push = |mirror: &mut batch::Session, delta: &Delta| -> Json {
+        let reply = post_ok(
+            addr,
+            &delta_path,
+            vec![("delta".into(), wire::encode_delta(delta))],
+            200,
+        );
+        let update = mirror.push_delta(delta).expect("library delta applies");
+        let legacy = mirror.decide_all(&delta_path_requests(&update.db, &b));
+        let flips: Vec<Json> = update
+            .flips
+            .iter()
+            .map(|f| {
+                flips_emitted += 1;
+                mirror_events.push(wire::encode_flip(mirror_events.len() as u64 + 1, f));
+                wire::encode_flip(flips_emitted, f)
+            })
+            .collect();
+        assert_eq!(
+            reply.get("noop"),
+            Some(&Json::Bool(update.change.is_noop()))
+        );
+        assert_eq!(reply.get("outcomes"), Some(&encoded(&legacy)));
+        assert_eq!(reply.get("flips"), Some(&Json::Array(flips)));
+        assert_eq!(
+            reply.get("redecided").and_then(Json::as_u64),
+            Some(update.redecided as u64)
+        );
+        assert_eq!(
+            reply.get("skipped").and_then(Json::as_u64),
+            Some(update.skipped as u64)
+        );
+        reply
+    };
+
+    // R gains 3: possibility of R(3) flips to true; membership and containment in the
+    // equal-valued peer flip to false; certainty of S(2) is skipped outright.
+    let reply = push(
+        &mut mirror,
+        &Delta::new().insert("R", CTuple::of_terms([Term::constant(3)])),
+    );
+    let outcomes = reply.get("outcomes").and_then(Json::as_array).unwrap();
+    assert_eq!(outcomes[3].get("answer"), Some(&Json::Bool(false)));
+    assert_eq!(
+        reply.get("flips").and_then(Json::as_array).unwrap().len(),
+        3
+    );
+    assert_eq!(reply.get("skipped").and_then(Json::as_u64), Some(1));
+
+    // A retract of a row that does not exist is refused and changes nothing.
+    let bad = Delta::new().retract("R", 99);
+    post_ok(
+        addr,
+        &delta_path,
+        vec![("delta".into(), wire::encode_delta(&bad))],
+        400,
+    );
+    assert!(mirror.push_delta(&bad).is_err());
+
+    // R loses 1: certainty of R(1) flips to false.
+    let reply = push(&mut mirror, &Delta::new().retract("R", 0));
+    assert_eq!(
+        reply.get("flips").and_then(Json::as_array).unwrap().len(),
+        1
+    );
+
+    let polled = client::get(addr, &format!("/v1/subscriptions/{sub_id}/flips"))
+        .expect("flips reachable")
+        .json()
+        .expect("flips reply is JSON");
+    assert_eq!(polled.get("events"), Some(&Json::Array(mirror_events)));
+
+    let stats = client::get(addr, &format!("/v1/databases/{a_id}/stats"))
+        .expect("stats reachable")
+        .json()
+        .expect("stats reply is JSON");
+    assert_eq!(
+        stats.get("memo"),
+        Some(&wire::encode_memo_stats(&mirror.engine().memo_stats()))
+    );
+    for (field, value) in [
+        ("standing_requests", 5),
+        ("subscribed_requests", 5),
+        ("deltas_received", 3),
+        ("deltas_applied", 2),
+        ("flips_emitted", 4),
+    ] {
+        assert_eq!(
+            stats.get(field).and_then(Json::as_u64),
+            Some(value),
+            "{field}"
+        );
+    }
+
+    // A window holding a buffered delta refuses to be replaced.
+    let windowed = |status| {
+        post_ok(
+            addr,
+            "/v1/subscriptions",
+            vec![
+                ("database".into(), Json::Int(a_id as i64)),
+                ("requests".into(), Json::Array(delta_path_wire(b_id))),
+                (
+                    "window".into(),
+                    Json::parse(r#"{"kind":"tumbling","size":2}"#).unwrap(),
+                ),
+            ],
+            status,
+        )
+    };
+    windowed(201);
+    let reply = post_ok(
+        addr,
+        &delta_path,
+        vec![(
+            "delta".into(),
+            wire::encode_delta(&Delta::new().insert("S", CTuple::of_terms([Term::constant(5)]))),
+        )],
+        200,
+    );
+    assert_eq!(reply.get("buffered"), Some(&Json::Bool(true)));
+    let refusal = windowed(409);
+    assert_eq!(
+        refusal
+            .get("error")
+            .and_then(|e| e.get("code"))
+            .and_then(Json::as_str),
+        Some("window-busy")
+    );
 
     server.shutdown();
     server.join();
