@@ -29,8 +29,9 @@ use std::collections::BTreeSet;
 #[derive(Clone, Debug, Default)]
 pub struct ConstraintSet {
     uf: TermUnionFind,
-    /// Inequality constraints recorded so far (checked on every mutation).
-    disequalities: Vec<(Term, Term)>,
+    /// Inequality constraints recorded so far, as pairs of interned union–find nodes
+    /// (re-checked whenever two classes merge; no term is hashed to check them).
+    disequalities: Vec<(usize, usize)>,
     /// Whether an inconsistency has already been detected.
     contradictory: bool,
 }
@@ -88,40 +89,56 @@ impl ConstraintSet {
         }
         // Re-validate disequalities against the current classes.
         for i in 0..self.disequalities.len() {
-            let (a, b) = self.disequalities[i];
-            if self.uf.same_class(a, b) {
+            if self.violated(self.disequalities[i]) {
                 self.contradictory = true;
                 return false;
-            }
-            if let (Some(ca), Some(cb)) = (self.uf.constant_of(a), self.uf.constant_of(b)) {
-                if ca == cb {
-                    self.contradictory = true;
-                    return false;
-                }
             }
         }
         true
     }
 
-    /// Assert `a = b`.  Returns the new consistency status.
+    /// Is the disequality between two interned nodes violated: both in one class, or
+    /// their classes bound to the same constant?
+    fn violated(&mut self, (a, b): (usize, usize)) -> bool {
+        let (ra, rb) = (self.uf.find(a), self.uf.find(b));
+        ra == rb
+            || matches!(
+                (self.uf.root_constant(ra), self.uf.root_constant(rb)),
+                (Some(x), Some(y)) if x == y
+            )
+    }
+
+    /// Assert `a = b`.  Returns the new consistency status.  Only a merge of two
+    /// classes can violate a recorded disequality, so an equality already known costs
+    /// no re-validation.
     pub fn assert_eq(&mut self, a: Term, b: Term) -> bool {
         if self.contradictory {
             return false;
         }
-        if !self.uf.union_terms(a, b) {
+        let (ia, ib) = (self.uf.intern(a), self.uf.intern(b));
+        if self.uf.find(ia) == self.uf.find(ib) {
+            return true;
+        }
+        if !self.uf.union(ia, ib) {
             self.contradictory = true;
             return false;
         }
         self.is_consistent()
     }
 
-    /// Assert `a ≠ b`.  Returns the new consistency status.
+    /// Assert `a ≠ b`.  Returns the new consistency status.  The classes do not change,
+    /// so only the new disequality needs checking.
     pub fn assert_neq(&mut self, a: Term, b: Term) -> bool {
         if self.contradictory {
             return false;
         }
-        self.disequalities.push((a, b));
-        self.is_consistent()
+        let pair = (self.uf.intern(a), self.uf.intern(b));
+        self.disequalities.push(pair);
+        if self.violated(pair) {
+            self.contradictory = true;
+            return false;
+        }
+        true
     }
 
     /// Assert a whole atom.
@@ -165,11 +182,12 @@ impl ConstraintSet {
                 return true;
             }
         }
+        let (ia, ib) = (self.uf.intern(a), self.uf.intern(b));
+        let (ra, rb) = (self.uf.find(ia), self.uf.find(ib));
         for i in 0..self.disequalities.len() {
             let (x, y) = self.disequalities[i];
-            let direct = self.uf.same_class(x, a) && self.uf.same_class(y, b);
-            let flipped = self.uf.same_class(x, b) && self.uf.same_class(y, a);
-            if direct || flipped {
+            let (rx, ry) = (self.uf.find(x), self.uf.find(y));
+            if (rx, ry) == (ra, rb) || (rx, ry) == (rb, ra) {
                 return true;
             }
         }

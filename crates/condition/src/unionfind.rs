@@ -197,6 +197,12 @@ impl TermUnionFind {
         self.constant[r]
     }
 
+    /// The interned constant the class rooted at `root` is bound to, if any.  `root`
+    /// must be a class root, as returned by [`TermUnionFind::find`].
+    pub fn root_constant(&self, root: usize) -> Option<Sym> {
+        self.constant[root]
+    }
+
     /// Number of interned terms.
     pub fn len(&self) -> usize {
         self.parent.len()

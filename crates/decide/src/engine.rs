@@ -1456,21 +1456,25 @@ impl Engine {
         let Some(store) = self.base_store(db) else {
             return Ok(Verdict::NOT_FOUND);
         };
-        let work: Vec<(&CTable, Vec<Sym>)> = facts
+        // The database-wide number of each table's first row.
+        let row_base = offsets(db.tables().iter().map(CTable::len));
+        let work: Vec<(&CTable, usize, Vec<Sym>)> = facts
             .iter()
             .flat_map(|(name, rel)| {
-                let table = db.table(name);
+                let table = db
+                    .table_position(name)
+                    .map(|i| (&db.tables()[i], row_base[i]));
                 rel.iter()
-                    .filter_map(move |fact| table.map(|t| (t, intern_fact(db, fact))))
+                    .filter_map(move |fact| table.map(|(t, base)| (t, base, intern_fact(db, fact))))
             })
             .collect();
-        let search = CoverSearch { work };
+        let search = CoverSearch {
+            work,
+            rows: db.tables().iter().map(CTable::len).sum(),
+        };
         let root = ChoiceNode {
             store,
-            meta: CoverMeta {
-                depth: 0,
-                used: None,
-            },
+            meta: search.root(),
         };
         self.drive_choices(&search, root, ctx)
     }
@@ -1869,40 +1873,125 @@ impl Drop for MemoPin<'_> {
     }
 }
 
-// -- choice searches: one branch definition for both engine phases ----------------------
+// -- choice searches: one branching loop for every constraint search -------------------
 
-/// A search whose nodes pair a [`ConstraintSet`] with cheap metadata and whose branch set
-/// is defined **once**: the frontier expansion (store-cloning) and the worker DFS
-/// (checkpoint/rollback) both enumerate children through [`ChoiceSearch::try_branch`], so
-/// the two phases cannot drift apart — the "parallel answers equal sequential answers"
-/// invariant is pinned structurally, not by keeping two loops in sync by hand.
+/// A constraint search in the shape of a CSP: a node pairs a [`ConstraintSet`] with
+/// cheap metadata, and extends the store by filling one of its open **slots** (a row of
+/// the membership search, a fact of the covering search) with one of that slot's
+/// **branches**.  The branch set is defined once, here; [`Choices`] owns the one loop
+/// that decides *which* slot to fill at each node (fail-first, see
+/// [`Choices::choose`]), so the sequential DFS, the stealing workers and the static
+/// frontier phase build the same tree — the "parallel answers equal sequential
+/// answers" invariant is pinned structurally, not by keeping several loops in sync.
+///
+/// Completeness never depends on the order: every open slot must be filled on the way
+/// to an accepting leaf, so branching on any one of them, over all its branches, loses
+/// no leaf.  That is why the paper's NP procedures (Theorem 3.1) may fill rows in any
+/// order — and why the order is free to be chosen per node for speed.
 ///
 /// (The canonical-valuation enumerator is the one search not expressed this way: its
 /// state is a plain assignment vector, not a constraint store, and its two phases already
 /// share a single choice generator, `EnumSearch::choices`.)
 pub(crate) trait ChoiceSearch: Sync {
-    /// The store-independent part of a node (depth, indices, bookkeeping).
+    /// The store-independent part of a node (which slots are filled, bookkeeping).
     type Meta: Send + Clone;
 
     /// Is this an accepting leaf?
     fn is_leaf(&self, meta: &Self::Meta) -> bool;
 
-    /// Number of candidate branches at this (non-leaf) node.
-    fn branch_count(&self, meta: &Self::Meta) -> usize;
+    /// The slots still open at this (non-accepting) node, in ascending order.  None at
+    /// all rejects the node.
+    fn open_slots<'m>(&'m self, meta: &'m Self::Meta) -> impl Iterator<Item = usize> + 'm;
 
-    /// Apply branch `k` to the store: `Some(child meta)` if the store stays consistent,
-    /// `None` to prune.  On `None` the caller discards or rolls back the store.
-    fn try_branch(
+    /// Static tie-break between slots with equally many consistent branches: the higher
+    /// weight is filled first.
+    fn weight(&self, _slot: usize) -> usize {
+        0
+    }
+
+    /// Number of candidate branches of an open slot.
+    fn branch_count(&self, meta: &Self::Meta, slot: usize) -> usize;
+
+    /// Assert branch `k` of `slot` into the store; `false` if the store became
+    /// inconsistent.  Either way the caller rolls back or discards the store.
+    fn assert_branch(
         &self,
         store: &mut ConstraintSet,
         meta: &Self::Meta,
+        slot: usize,
         k: usize,
-    ) -> Option<Self::Meta>;
+    ) -> bool;
+
+    /// The metadata of the child reached by a consistent branch `k` of `slot`.
+    fn child(&self, meta: &Self::Meta, slot: usize, k: usize) -> Self::Meta;
+}
+
+/// The start of each run in a concatenation of runs of the given lengths — numbering
+/// rows or facts database-wide for a [`SlotSet`].
+pub(crate) fn offsets(lens: impl Iterator<Item = usize>) -> Vec<usize> {
+    lens.scan(0, |next, len| {
+        let start = *next;
+        *next += len;
+        Some(start)
+    })
+    .collect()
 }
 
 pub(crate) struct ChoiceNode<M> {
     pub(crate) store: ConstraintSet,
     pub(crate) meta: M,
+}
+
+/// A set of small indices (filled slots, covered facts, used rows): one inline `u128`
+/// for universes of up to [`SlotSet::INLINE`] indices, so the searches' per-node
+/// metadata forks without allocating; larger universes spill to a boxed bit vector.
+#[derive(Clone, Debug)]
+pub(crate) enum SlotSet {
+    Inline(u128),
+    Spilled(Box<[u64]>),
+}
+
+impl SlotSet {
+    const INLINE: usize = 128;
+
+    /// The empty set over indices `0..universe`.
+    pub(crate) fn empty(universe: usize) -> Self {
+        if universe <= Self::INLINE {
+            SlotSet::Inline(0)
+        } else {
+            SlotSet::Spilled(vec![0; universe.div_ceil(64)].into_boxed_slice())
+        }
+    }
+
+    pub(crate) fn contains(&self, i: usize) -> bool {
+        match self {
+            SlotSet::Inline(bits) => bits >> i & 1 == 1,
+            SlotSet::Spilled(words) => words[i / 64] >> (i % 64) & 1 == 1,
+        }
+    }
+
+    /// This set plus `i`.
+    pub(crate) fn with(&self, i: usize) -> Self {
+        match self {
+            SlotSet::Inline(bits) => SlotSet::Inline(bits | 1 << i),
+            SlotSet::Spilled(words) => {
+                let mut words = words.clone();
+                words[i / 64] |= 1 << (i % 64);
+                SlotSet::Spilled(words)
+            }
+        }
+    }
+}
+
+/// A no-op [`Shed`]: the sequential DFS is [`Choices::rec`] with nobody to shed to.
+struct NoShed;
+
+impl<N> Shed<N> for NoShed {
+    fn wants_work(&self) -> bool {
+        false
+    }
+
+    fn offer(&self, _: Vec<N>) {}
 }
 
 /// Adapter driving a [`ChoiceSearch`] as a [`TreeSearch`].  With `capture` on (the
@@ -1943,29 +2032,79 @@ impl<'a, S: ChoiceSearch> Choices<'a, S> {
         }
     }
 
-    fn rec(&self, store: &mut ConstraintSet, meta: &S::Meta, ctx: &Ctx) -> Result<bool, Stop> {
-        ctx.tick()?;
-        if self.search.is_leaf(meta) {
-            return self.accept(store);
+    /// The slot to branch on at a non-accepting node, or `None` to prune it.
+    ///
+    /// Every open slot's branches are probed against the store (checkpoint/rollback,
+    /// not ticked).  A slot left with no consistent branch prunes the node — forward
+    /// checking over the [`ConstraintSet`].  Otherwise the slot with the fewest
+    /// consistent branches is chosen (fail-first), ties going to the higher
+    /// [`ChoiceSearch::weight`], then to the lower index.  The choice is a function of
+    /// the store's constraints and the metadata only, so every engine phase picks the
+    /// same slot at the same node.
+    ///
+    /// Two shortcuts leave the choice unchanged.  A lone open slot has nothing to
+    /// choose and is returned unprobed: branching on it finds the same consistent
+    /// branches.  And a slot's probe stops once it has found a consistent branch and
+    /// enough of them that it can no longer beat the best slot so far.
+    fn choose(&self, store: &mut ConstraintSet, meta: &S::Meta) -> Option<usize> {
+        let mut slots = self.search.open_slots(meta).peekable();
+        let first = slots.next()?;
+        if slots.peek().is_none() {
+            return Some(first);
         }
-        for k in 0..self.search.branch_count(meta) {
-            let cp = store.checkpoint();
-            if let Some(child) = self.search.try_branch(store, meta, k) {
-                if self.rec(store, &child, ctx)? {
-                    return Ok(true);
+        // (consistent branches, weight, slot) of the best slot so far.
+        let mut best: Option<(usize, usize, usize)> = None;
+        for slot in std::iter::once(first).chain(slots) {
+            let weight = self.search.weight(slot);
+            // Slots come in ascending order, so a later one must strictly beat `best`.
+            let beaten =
+                |live: usize| best.is_some_and(|(l, w, _)| live > l || (live == l && weight <= w));
+            let mut live = 0;
+            for k in 0..self.search.branch_count(meta, slot) {
+                let cp = store.checkpoint();
+                live += usize::from(self.search.assert_branch(store, meta, slot, k));
+                store.rollback(cp);
+                if live > 0 && beaten(live) {
+                    break;
                 }
             }
-            store.rollback(cp);
+            if live == 0 {
+                return None;
+            }
+            if !beaten(live) {
+                best = Some((live, weight, slot));
+            }
         }
-        Ok(false)
+        best.map(|(_, _, slot)| slot)
     }
 
-    /// [`Choices::rec`] with re-splitting: same node set, same tick per node.  The fast
-    /// path is the checkpoint/rollback loop above; only when a thief is starving does a
-    /// node materialize its viable children as independent store clones, keep the first
-    /// and shed the rest.  Every viable child is ticked exactly once at entry on either
-    /// path, so budget accounting cannot tell the two apart.
-    fn rec_shed(
+    /// The children of a node on the chosen slot, each with its own store clone.
+    fn children(
+        &self,
+        store: &ConstraintSet,
+        meta: &S::Meta,
+        slot: usize,
+    ) -> Vec<ChoiceNode<S::Meta>> {
+        (0..self.search.branch_count(meta, slot))
+            .filter_map(|k| {
+                let mut store = store.clone();
+                self.search
+                    .assert_branch(&mut store, meta, slot, k)
+                    .then(|| ChoiceNode {
+                        store,
+                        meta: self.search.child(meta, slot, k),
+                    })
+            })
+            .collect()
+    }
+
+    /// The depth-first search of a subtree, with cooperative re-splitting.  Every node
+    /// charges one tick at entry, then chooses its slot ([`Choices::choose`]) and walks
+    /// the slot's consistent branches with checkpoint/rollback.  Only when a thief is
+    /// starving does a node materialize its children as independent store clones, keep
+    /// the first and shed the rest — the same children, each ticked once at entry, so
+    /// budget accounting cannot tell the two paths apart.
+    fn rec(
         &self,
         store: &mut ConstraintSet,
         meta: &S::Meta,
@@ -1976,31 +2115,26 @@ impl<'a, S: ChoiceSearch> Choices<'a, S> {
         if self.search.is_leaf(meta) {
             return self.accept(store);
         }
-        let n = self.search.branch_count(meta);
+        let Some(slot) = self.choose(store, meta) else {
+            return Ok(false);
+        };
+        let n = self.search.branch_count(meta, slot);
         if n > 1 && shed.wants_work() {
-            let mut kids = Vec::new();
-            for k in 0..n {
-                let mut child_store = store.clone();
-                if let Some(child_meta) = self.search.try_branch(&mut child_store, meta, k) {
-                    kids.push(ChoiceNode {
-                        store: child_store,
-                        meta: child_meta,
-                    });
-                }
-            }
-            if kids.is_empty() {
+            let mut kids = self.children(store, meta, slot).into_iter();
+            let Some(mut first) = kids.next() else {
                 return Ok(false);
+            };
+            let rest: Vec<_> = kids.collect();
+            if !rest.is_empty() {
+                shed.offer(rest);
             }
-            let mut first = kids.remove(0);
-            if !kids.is_empty() {
-                shed.offer(kids);
-            }
-            return self.rec_shed(&mut first.store, &first.meta, ctx, shed);
+            return self.rec(&mut first.store, &first.meta, ctx, shed);
         }
         for k in 0..n {
             let cp = store.checkpoint();
-            if let Some(child) = self.search.try_branch(store, meta, k) {
-                if self.rec_shed(store, &child, ctx, shed)? {
+            if self.search.assert_branch(store, meta, slot, k) {
+                let child = self.search.child(meta, slot, k);
+                if self.rec(store, &child, ctx, shed)? {
                     return Ok(true);
                 }
             }
@@ -2013,22 +2147,24 @@ impl<'a, S: ChoiceSearch> Choices<'a, S> {
 impl<S: ChoiceSearch> TreeSearch for Choices<'_, S> {
     type Node = ChoiceNode<S::Meta>;
 
-    fn expand(&self, node: Self::Node, out: &mut Vec<Self::Node>, ctx: &Ctx) -> Result<bool, Stop> {
+    fn expand(
+        &self,
+        mut node: Self::Node,
+        out: &mut Vec<Self::Node>,
+        ctx: &Ctx,
+    ) -> Result<bool, Stop> {
         ctx.tick()?;
         if self.search.is_leaf(&node.meta) {
             return self.accept(&node.store);
         }
-        for k in 0..self.search.branch_count(&node.meta) {
-            let mut store = node.store.clone();
-            if let Some(meta) = self.search.try_branch(&mut store, &node.meta, k) {
-                out.push(ChoiceNode { store, meta });
-            }
+        if let Some(slot) = self.choose(&mut node.store, &node.meta) {
+            out.extend(self.children(&node.store, &node.meta, slot));
         }
         Ok(false)
     }
 
     fn dfs(&self, mut node: Self::Node, ctx: &Ctx) -> Result<bool, Stop> {
-        self.rec(&mut node.store, &node.meta, ctx)
+        self.rec(&mut node.store, &node.meta, ctx, &NoShed)
     }
 
     fn dfs_shed(
@@ -2037,49 +2173,39 @@ impl<S: ChoiceSearch> TreeSearch for Choices<'_, S> {
         ctx: &Ctx,
         shed: &dyn Shed<Self::Node>,
     ) -> Result<bool, Stop> {
-        self.rec_shed(&mut node.store, &node.meta, ctx, shed)
+        self.rec(&mut node.store, &node.meta, ctx, shed)
     }
 }
 
 // -- covering search --------------------------------------------------------------------
 
+/// Possibility's covering search: a slot per fact to cover, a branch per row of the
+/// fact's table.  Distinct facts must come from distinct rows.
 struct CoverSearch<'a> {
-    /// One entry per fact to cover: the table it must come from, and the interned fact.
-    work: Vec<(&'a CTable, Vec<Sym>)>,
+    /// One entry per fact to cover: the table it must come from, the index of that
+    /// table's first row in the database-wide row numbering, and the interned fact.
+    work: Vec<(&'a CTable, usize, Vec<Sym>)>,
+    /// Rows in the database-wide numbering (the universe of [`CoverMeta::used`]).
+    rows: usize,
 }
 
 #[derive(Clone)]
 struct CoverMeta {
-    depth: usize,
-    /// Rows already in use along this path — distinct facts must come from distinct
-    /// rows.  A persistent (Arc-linked) list: forking a node is O(1), the membership
-    /// scan is O(depth), exactly like the mutable push/pop stack of a plain DFS.
-    used: Option<Arc<UsedRow>>,
-}
-
-struct UsedRow {
-    /// Work item that claimed the row (identifies the table).
-    item: usize,
-    /// Row index within that table.
-    row: usize,
-    prev: Option<Arc<UsedRow>>,
+    /// Facts covered so far (slots filled).
+    covered: SlotSet,
+    /// How many facts are covered.
+    count: usize,
+    /// Rows already producing a covered fact, database-wide numbering.
+    used: SlotSet,
 }
 
 impl CoverSearch<'_> {
-    /// Is work item `i` drawn from the same table as work item `j`?
-    fn same_table(&self, i: usize, j: usize) -> bool {
-        std::ptr::eq(self.work[i].0, self.work[j].0)
-    }
-
-    fn row_used(&self, used: &Option<Arc<UsedRow>>, depth: usize, row_idx: usize) -> bool {
-        let mut cursor = used;
-        while let Some(entry) = cursor {
-            if self.same_table(entry.item, depth) && entry.row == row_idx {
-                return true;
-            }
-            cursor = &entry.prev;
+    fn root(&self) -> CoverMeta {
+        CoverMeta {
+            covered: SlotSet::empty(self.work.len()),
+            count: 0,
+            used: SlotSet::empty(self.rows),
         }
-        false
     }
 }
 
@@ -2087,40 +2213,44 @@ impl ChoiceSearch for CoverSearch<'_> {
     type Meta = CoverMeta;
 
     fn is_leaf(&self, meta: &CoverMeta) -> bool {
-        meta.depth == self.work.len()
+        meta.count == self.work.len()
     }
 
-    fn branch_count(&self, meta: &CoverMeta) -> usize {
-        self.work[meta.depth].0.len()
+    fn open_slots<'m>(&'m self, meta: &'m CoverMeta) -> impl Iterator<Item = usize> + 'm {
+        (0..self.work.len()).filter(|&fact| !meta.covered.contains(fact))
     }
 
-    fn try_branch(
+    fn branch_count(&self, _: &CoverMeta, fact: usize) -> usize {
+        self.work[fact].0.len()
+    }
+
+    fn assert_branch(
         &self,
         store: &mut ConstraintSet,
         meta: &CoverMeta,
+        fact: usize,
         row_idx: usize,
-    ) -> Option<CoverMeta> {
-        if self.row_used(&meta.used, meta.depth, row_idx) {
-            return None;
-        }
-        let (table, fact) = &self.work[meta.depth];
+    ) -> bool {
+        let (table, base, values) = &self.work[fact];
         let row = &table.tuples()[row_idx];
-        if !assert_row_produces(store, &row.terms, &row.condition, fact) {
-            return None;
+        !meta.used.contains(base + row_idx)
+            && assert_row_produces(store, &row.terms, &row.condition, values)
+    }
+
+    fn child(&self, meta: &CoverMeta, fact: usize, row_idx: usize) -> CoverMeta {
+        CoverMeta {
+            covered: meta.covered.with(fact),
+            count: meta.count + 1,
+            used: meta.used.with(self.work[fact].1 + row_idx),
         }
-        Some(CoverMeta {
-            depth: meta.depth + 1,
-            used: Some(Arc::new(UsedRow {
-                item: meta.depth,
-                row: row_idx,
-                prev: meta.used.clone(),
-            })),
-        })
     }
 }
 
 // -- missing-fact search ----------------------------------------------------------------
 
+/// Certainty's missing-fact search for one fact: its table's rows are the slots, filled
+/// in row order (one open slot at a time); a branch is a reason the row does not
+/// produce the fact.
 struct MissingSearch<'a> {
     /// One entry per fact whose absence is sought: its table and the interned fact.
     work: Vec<(&'a CTable, Vec<Sym>)>,
@@ -2139,22 +2269,27 @@ impl ChoiceSearch for MissingSearch<'_> {
         meta.row_idx == self.work[meta.fact_idx].0.len()
     }
 
+    fn open_slots<'m>(&'m self, meta: &'m MissingMeta) -> impl Iterator<Item = usize> + 'm {
+        std::iter::once(meta.row_idx)
+    }
+
     /// Per row, a reason it does not produce the fact: one per position of the row
     /// (differs from the fact there) followed by one per local-condition atom (falsified).
-    fn branch_count(&self, meta: &MissingMeta) -> usize {
-        let row = &self.work[meta.fact_idx].0.tuples()[meta.row_idx];
+    fn branch_count(&self, meta: &MissingMeta, row_idx: usize) -> usize {
+        let row = &self.work[meta.fact_idx].0.tuples()[row_idx];
         row.terms.len() + row.condition.len()
     }
 
-    fn try_branch(
+    fn assert_branch(
         &self,
         store: &mut ConstraintSet,
         meta: &MissingMeta,
+        row_idx: usize,
         k: usize,
-    ) -> Option<MissingMeta> {
+    ) -> bool {
         let (table, fact) = &self.work[meta.fact_idx];
-        let row = &table.tuples()[meta.row_idx];
-        let ok = if k < row.terms.len() {
+        let row = &table.tuples()[row_idx];
+        if k < row.terms.len() {
             // Reason 1: position k of the row differs from the fact.
             store.assert_neq(row.terms[k], Term::Const(fact[k]))
         } else {
@@ -2163,16 +2298,22 @@ impl ChoiceSearch for MissingSearch<'_> {
                 Atom::Eq(a, b) => store.assert_neq(a, b),
                 Atom::Neq(a, b) => store.assert_eq(a, b),
             }
-        };
-        ok.then_some(MissingMeta {
+        }
+    }
+
+    fn child(&self, meta: &MissingMeta, row_idx: usize, _: usize) -> MissingMeta {
+        MissingMeta {
             fact_idx: meta.fact_idx,
-            row_idx: meta.row_idx + 1,
-        })
+            row_idx: row_idx + 1,
+        }
     }
 }
 
 // -- escape (fact outside the instance) search ------------------------------------------
 
+/// Uniqueness's escaping-row search for one row: the instance facts of its table are
+/// the slots, filled in order (one open slot at a time); a branch is a position where
+/// the row differs from the fact.
 struct EscapeSearch {
     /// Per originating table: the interned instance facts the row has to differ from.
     fact_lists: Vec<Vec<Vec<Sym>>>,
@@ -2194,25 +2335,32 @@ impl ChoiceSearch for EscapeSearch {
         meta.fact_idx == self.fact_lists[fact_list].len()
     }
 
-    /// One branch per position where the row could differ from the current fact.
-    fn branch_count(&self, meta: &EscapeMeta) -> usize {
+    fn open_slots<'m>(&'m self, meta: &'m EscapeMeta) -> impl Iterator<Item = usize> + 'm {
+        std::iter::once(meta.fact_idx)
+    }
+
+    /// One branch per position where the row could differ from the fact.
+    fn branch_count(&self, meta: &EscapeMeta, _: usize) -> usize {
         self.rows[meta.row].0.len()
     }
 
-    fn try_branch(
+    fn assert_branch(
         &self,
         store: &mut ConstraintSet,
         meta: &EscapeMeta,
+        fact_idx: usize,
         k: usize,
-    ) -> Option<EscapeMeta> {
+    ) -> bool {
         let (terms, fact_list) = &self.rows[meta.row];
-        let fact = &self.fact_lists[*fact_list][meta.fact_idx];
-        store
-            .assert_neq(terms[k], Term::Const(fact[k]))
-            .then_some(EscapeMeta {
-                row: meta.row,
-                fact_idx: meta.fact_idx + 1,
-            })
+        let fact = &self.fact_lists[*fact_list][fact_idx];
+        store.assert_neq(terms[k], Term::Const(fact[k]))
+    }
+
+    fn child(&self, meta: &EscapeMeta, fact_idx: usize, _: usize) -> EscapeMeta {
+        EscapeMeta {
+            row: meta.row,
+            fact_idx: fact_idx + 1,
+        }
     }
 }
 
@@ -2506,6 +2654,23 @@ pub(crate) mod tests {
 
     pub(crate) fn engines() -> Vec<Engine> {
         configs().into_iter().map(Engine::new).collect()
+    }
+
+    #[test]
+    fn slot_sets_agree_inline_and_spilled() {
+        for universe in [SlotSet::INLINE, SlotSet::INLINE + 1, 300] {
+            let members = [0, 63, 64, 127, universe - 1];
+            let set = members
+                .iter()
+                .fold(SlotSet::empty(universe), |set, &i| set.with(i));
+            assert_eq!(
+                matches!(set, SlotSet::Inline(_)),
+                universe <= SlotSet::INLINE
+            );
+            for i in 0..universe {
+                assert_eq!(set.contains(i), members.contains(&i), "{i} of {universe}");
+            }
+        }
     }
 
     #[test]

@@ -17,13 +17,14 @@
 
 use crate::certify;
 use crate::common::{evaluation_delta, Budget, Decision, DecisionError, Strategy};
-use crate::engine::{ChoiceNode, ChoiceSearch, Ctx, Engine, EngineConfig, MemoOp, Verdict};
-use pw_condition::{Atom, ConstraintSet, Term};
-use pw_core::{CDatabase, CTable, Certificate, View};
+use crate::engine::{
+    offsets, ChoiceNode, ChoiceSearch, Ctx, Engine, EngineConfig, MemoOp, SlotSet, Verdict,
+};
+use pw_condition::{Atom, ConstraintSet, Term, Variable};
+use pw_core::{CDatabase, CTable, CTuple, Certificate, View};
 use pw_relational::{Instance, Sym};
 use pw_solvers::matching::{maximum_matching, BipartiteGraph};
-use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::collections::{BTreeSet, HashMap};
 
 /// Decide `MEMB(-)`: is `instance` in `rep(db)`?  Dispatches to the matching algorithm for
 /// Codd-table databases, to the shard-group decomposition when the coupling graph splits,
@@ -262,47 +263,51 @@ struct MemberRow<'a> {
     t_idx: usize,
 }
 
-/// One covered fact along a search path.  A persistent (Arc-linked) list instead of a
-/// mutable coverage count matrix: forking a node for a thief is O(1), and the "is this
-/// fact already covered?" scan is O(depth) — the same cost profile as
-/// [`crate::engine`]'s `UsedRow` list in the covering search.
-struct Covered {
-    t_idx: usize,
-    f_idx: usize,
-    prev: Option<Arc<Covered>>,
-}
-
+/// A node of [`MemberSearch`]: which rows are assigned and which facts are covered.
 #[derive(Clone)]
 struct MemberMeta {
-    depth: usize,
-    /// Distinct facts covered along this path (maintained incrementally, so the leaf
-    /// test is O(1)).
-    covered: usize,
-    trail: Option<Arc<Covered>>,
+    /// Rows assigned so far (slots filled).
+    assigned: SlotSet,
+    /// How many rows are assigned.
+    rows: usize,
+    /// Facts covered so far, numbered database-wide ([`MemberSearch::fact_base`]).
+    covered: SlotSet,
+    /// How many distinct facts are covered (so the leaf test is O(1)).
+    facts: usize,
 }
 
 /// [`backtracking`] expressed as a [`ChoiceSearch`], so the engine's work-stealing
-/// scheduler can parallelize a *single* condition-coupled group.  Per row, the Option-1
-/// fact branches come first, then the Option-2 absence branches; every node charges one
-/// budget unit, and a branch is pruned when the remaining rows cannot cover the
-/// remaining facts.
+/// scheduler can parallelize a *single* condition-coupled group.  The rows are the
+/// slots; a row's branches are its Option-1 facts (map the row onto fact `k` of its
+/// relation) followed by its Option-2 absence atoms (falsify atom `k` of its local
+/// condition).  The engine fills the most constrained row first, so the order rows
+/// are assigned in is the search's own, not the table's.  A node is pruned when the
+/// open rows cannot cover the uncovered facts — each covers at most one.
 struct MemberSearch<'a> {
     rows: Vec<MemberRow<'a>>,
     /// Interned instance facts per table position.
     fact_lists: Vec<Vec<Vec<Sym>>>,
+    /// Per table position, the database-wide number of its first fact.
+    fact_base: Vec<usize>,
     total_facts: usize,
+    /// Per row, the global-condition atoms that mention its variables — the fail-first
+    /// tie-break: a row entangled in more global atoms is refuted sooner.
+    weights: Vec<usize>,
 }
 
 impl MemberSearch<'_> {
-    fn already_covered(&self, trail: &Option<Arc<Covered>>, t_idx: usize, f_idx: usize) -> bool {
-        let mut cursor = trail;
-        while let Some(entry) = cursor {
-            if entry.t_idx == t_idx && entry.f_idx == f_idx {
-                return true;
-            }
-            cursor = &entry.prev;
+    fn row(&self, slot: usize) -> (&CTuple, usize) {
+        let row_ref = &self.rows[slot];
+        (&row_ref.table.tuples()[row_ref.row_idx], row_ref.t_idx)
+    }
+
+    fn root(&self) -> MemberMeta {
+        MemberMeta {
+            assigned: SlotSet::empty(self.rows.len()),
+            rows: 0,
+            covered: SlotSet::empty(self.total_facts),
+            facts: 0,
         }
-        false
     }
 }
 
@@ -310,65 +315,62 @@ impl ChoiceSearch for MemberSearch<'_> {
     type Meta = MemberMeta;
 
     fn is_leaf(&self, meta: &MemberMeta) -> bool {
-        meta.depth == self.rows.len() && meta.covered == self.total_facts
+        meta.rows == self.rows.len() && meta.facts == self.total_facts
     }
 
-    fn branch_count(&self, meta: &MemberMeta) -> usize {
-        if meta.depth == self.rows.len() {
-            // Exhausted the rows without covering every fact: a rejecting leaf.
-            return 0;
-        }
-        // Pruning: each remaining row covers at most one uncovered fact.
-        if self.total_facts - meta.covered > self.rows.len() - meta.depth {
-            return 0;
-        }
-        let row_ref = &self.rows[meta.depth];
-        let row = &row_ref.table.tuples()[row_ref.row_idx];
-        self.fact_lists[row_ref.t_idx].len() + row.condition.len()
+    fn open_slots<'m>(&'m self, meta: &'m MemberMeta) -> impl Iterator<Item = usize> + 'm {
+        // Pruning: each open row covers at most one uncovered fact.
+        let viable = self.total_facts - meta.facts <= self.rows.len() - meta.rows;
+        let end = if viable { self.rows.len() } else { 0 };
+        (0..end).filter(|&r| !meta.assigned.contains(r))
     }
 
-    fn try_branch(
+    fn weight(&self, slot: usize) -> usize {
+        self.weights[slot]
+    }
+
+    fn branch_count(&self, _: &MemberMeta, slot: usize) -> usize {
+        let (row, t_idx) = self.row(slot);
+        self.fact_lists[t_idx].len() + row.condition.len()
+    }
+
+    fn assert_branch(
         &self,
         store: &mut ConstraintSet,
-        meta: &MemberMeta,
+        _: &MemberMeta,
+        slot: usize,
         k: usize,
-    ) -> Option<MemberMeta> {
-        let row_ref = &self.rows[meta.depth];
-        let row = &row_ref.table.tuples()[row_ref.row_idx];
-        let t_idx = row_ref.t_idx;
+    ) -> bool {
+        let (row, t_idx) = self.row(slot);
         let facts = &self.fact_lists[t_idx];
         if let Some(fact) = facts.get(k) {
             // Option 1: map the row onto fact `k` of its relation.
-            if !store.assert_conjunction(&row.condition) {
-                return None;
-            }
-            for (&term, &value) in row.terms.iter().zip(fact.iter()) {
-                if !store.assert_eq(term, Term::Const(value)) {
-                    return None;
-                }
-            }
-            let newly = !self.already_covered(&meta.trail, t_idx, k);
-            Some(MemberMeta {
-                depth: meta.depth + 1,
-                covered: meta.covered + usize::from(newly),
-                trail: Some(Arc::new(Covered {
-                    t_idx,
-                    f_idx: k,
-                    prev: meta.trail.clone(),
-                })),
-            })
+            store.assert_conjunction(&row.condition)
+                && row
+                    .terms
+                    .iter()
+                    .zip(fact.iter())
+                    .all(|(&term, &value)| store.assert_eq(term, Term::Const(value)))
         } else {
             // Option 2: the row is absent — falsify one atom of its local condition.
-            let atom = row.condition.atoms()[k - facts.len()];
-            let negated_ok = match atom {
+            match row.condition.atoms()[k - facts.len()] {
                 Atom::Eq(a, b) => store.assert_neq(a, b),
                 Atom::Neq(a, b) => store.assert_eq(a, b),
-            };
-            negated_ok.then(|| MemberMeta {
-                depth: meta.depth + 1,
-                covered: meta.covered,
-                trail: meta.trail.clone(),
-            })
+            }
+        }
+    }
+
+    fn child(&self, meta: &MemberMeta, slot: usize, k: usize) -> MemberMeta {
+        let t_idx = self.rows[slot].t_idx;
+        // The fact an Option-1 branch newly covers, if any.
+        let fact = (k < self.fact_lists[t_idx].len())
+            .then(|| self.fact_base[t_idx] + k)
+            .filter(|&fact| !meta.covered.contains(fact));
+        MemberMeta {
+            assigned: meta.assigned.with(slot),
+            rows: meta.rows + 1,
+            covered: fact.map_or_else(|| meta.covered.clone(), |fact| meta.covered.with(fact)),
+            facts: meta.facts + usize::from(fact.is_some()),
         }
     }
 }
@@ -419,21 +421,50 @@ pub(crate) fn backtracking_ctx(
                 .collect()
         })
         .collect();
+    let fact_base = offsets(fact_lists.iter().map(Vec::len));
     let total_facts = fact_lists.iter().map(Vec::len).sum();
+    let weights = global_atom_counts(db, &rows);
     let search = MemberSearch {
         rows,
         fact_lists,
+        fact_base,
         total_facts,
+        weights,
     };
     let root = ChoiceNode {
         store,
-        meta: MemberMeta {
-            depth: 0,
-            covered: 0,
-            trail: None,
-        },
+        meta: search.root(),
     };
     engine.drive_choices(&search, root, ctx)
+}
+
+/// Per row, how many global-condition atoms of the database mention one of its
+/// variables ([`MemberSearch::weights`]).
+fn global_atom_counts(db: &CDatabase, rows: &[MemberRow<'_>]) -> Vec<usize> {
+    let mut atoms_of: HashMap<Variable, Vec<usize>> = HashMap::new();
+    let globals = db
+        .tables()
+        .iter()
+        .flat_map(|t| t.global_condition().atoms());
+    for (i, atom) in globals.enumerate() {
+        for var in atom.variables() {
+            atoms_of.entry(var).or_default().push(i);
+        }
+    }
+    rows.iter()
+        .map(|r| {
+            let mut atoms: Vec<usize> = r.table.tuples()[r.row_idx]
+                .variables()
+                .iter()
+                .filter_map(|var| atoms_of.get(var))
+                .flatten()
+                .copied()
+                .collect();
+            atoms.sort_unstable();
+            atoms.dedup();
+            atoms.len()
+        })
+        .collect()
 }
 
 /// `MEMB(q)` for a view.

@@ -12,17 +12,22 @@ use std::collections::BTreeMap;
 /// The three colours.
 const COLORS: [i64; 3] = [1, 2, 3];
 
-/// All ordered pairs of distinct colours `(i, j)`.
-fn distinct_color_pairs() -> Vec<(i64, i64)> {
+/// All ordered pairs of distinct colours `(i, j)` among `colors`.
+fn distinct_color_pairs(colors: &[i64]) -> Vec<(i64, i64)> {
     let mut out = Vec::new();
-    for &i in &COLORS {
-        for &j in &COLORS {
+    for &i in colors {
+        for &j in colors {
             if i != j {
                 out.push((i, j));
             }
         }
     }
     out
+}
+
+/// The colours `1..=k`.
+fn palette(k: usize) -> Vec<i64> {
+    (1..=k as i64).collect()
 }
 
 /// Vertex `a` is encoded as the constant `10 + a` so that vertex names never collide with
@@ -39,12 +44,23 @@ fn vertex_constant(v: usize) -> i64 {
 /// The instance is a possible world iff the edge rows can be instantiated *inside* the
 /// colour pairs — i.e. iff adjacent vertices can be given distinct colours.
 pub fn three_col_etable(graph: &Graph) -> MembershipInstance {
+    k_col_etable(graph, COLORS.len())
+}
+
+/// [`three_col_etable`] with `k` colours: `k`-colourability → `MEMB(-)` on an e-table.
+///
+/// On the complete graph `K_{k+1}` this is the pigeonhole principle — `k + 1` pairwise
+/// distinct vertices in `k` colours — whose refutation stays exponential under every
+/// row order, so it is the input of choice wherever a test needs a search that is hard
+/// for the engine's fail-first order, not just for one fixed order.
+pub fn k_col_etable(graph: &Graph, k: usize) -> MembershipInstance {
+    let colors = palette(k);
     let mut vars = VarGen::new();
     let node_var: Vec<Variable> = (0..graph.vertex_count())
         .map(|v| vars.named(format!("x{v}")))
         .collect();
 
-    let mut rows: Vec<Vec<Term>> = distinct_color_pairs()
+    let mut rows: Vec<Vec<Term>> = distinct_color_pairs(&colors)
         .into_iter()
         .map(|(i, j)| vec![Term::constant(i), Term::constant(j)])
         .collect();
@@ -57,7 +73,7 @@ pub fn three_col_etable(graph: &Graph) -> MembershipInstance {
         "T",
         Relation::from_tuples(
             2,
-            distinct_color_pairs()
+            distinct_color_pairs(&colors)
                 .into_iter()
                 .map(|(i, j)| Tuple::new([i.into(), j.into()])),
         ),
@@ -74,12 +90,19 @@ pub fn three_col_etable(graph: &Graph) -> MembershipInstance {
 /// The i-table holds the three colours and one variable per vertex, with the global
 /// condition `x_a ≠ x_b` for every edge; the candidate instance is `{1, 2, 3}`.
 pub fn three_col_itable(graph: &Graph) -> MembershipInstance {
+    k_col_itable(graph, COLORS.len())
+}
+
+/// [`three_col_itable`] with `k` colours: `k`-colourability → `MEMB(-)` on an i-table.
+/// On `K_{k+1}` it is the pigeonhole principle, as for [`k_col_etable`].
+pub fn k_col_itable(graph: &Graph, k: usize) -> MembershipInstance {
+    let colors = palette(k);
     let mut vars = VarGen::new();
     let node_var: Vec<Variable> = (0..graph.vertex_count())
         .map(|v| vars.named(format!("x{v}")))
         .collect();
 
-    let mut rows: Vec<Vec<Term>> = COLORS.iter().map(|&c| vec![Term::constant(c)]).collect();
+    let mut rows: Vec<Vec<Term>> = colors.iter().map(|&c| vec![Term::constant(c)]).collect();
     rows.extend(node_var.iter().map(|&v| vec![Term::Var(v)]));
     let global = Conjunction::new(
         graph
@@ -90,7 +113,7 @@ pub fn three_col_itable(graph: &Graph) -> MembershipInstance {
 
     let instance = Instance::single(
         "T",
-        Relation::from_tuples(1, COLORS.iter().map(|&c| Tuple::new([c.into()]))),
+        Relation::from_tuples(1, colors.iter().map(|&c| Tuple::new([c.into()]))),
     );
 
     MembershipInstance {
@@ -136,7 +159,7 @@ pub fn three_col_view(graph: &Graph) -> MembershipInstance {
     let t_r = CTable::codd("R", 5, r_rows).expect("R rows use distinct variables");
 
     // T(S): the distinct colour pairs.
-    let s_rows: Vec<Vec<Term>> = distinct_color_pairs()
+    let s_rows: Vec<Vec<Term>> = distinct_color_pairs(&COLORS)
         .into_iter()
         .map(|(i, j)| vec![Term::constant(i), Term::constant(j)])
         .collect();
@@ -218,7 +241,7 @@ pub fn small_test_graphs() -> Vec<(Graph, &'static str)> {
 pub fn color_pairs_relation() -> Relation {
     Relation::from_tuples(
         2,
-        distinct_color_pairs()
+        distinct_color_pairs(&COLORS)
             .into_iter()
             .map(|(i, j)| Tuple::new([i.into(), j.into()])),
     )

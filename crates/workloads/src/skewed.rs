@@ -1,24 +1,26 @@
-//! Skewed search trees: workloads whose work hides in one deep subtree.
+//! Skewed search trees: workloads whose work hides in one deep subtree — for a search
+//! that fills rows in table order.
 //!
 //! The static frontier scheduler carves the search tree breadth-first into
 //! `threads × frontier_per_thread` subtree roots and lets workers drain them from one
 //! shared queue.  That balances load *only if* the frontier subtrees are comparable in
 //! size; these families construct the opposite — a wide fan of branches that die after
-//! a short walk, beside exactly **one** branch hiding an exponential refutation — so
-//! the static split degenerates to one busy worker while the rest exit, and the
-//! dynamic work-stealing scheduler's subtree re-splitting is what restores parallelism.
+//! a short walk, beside exactly **one** branch hiding a non-3-colorability refutation.
 //!
 //! Two families, both condition-coupled into a single shard group (so the per-group
 //! decomposition cannot help and the intra-group scheduler is all that matters):
 //!
 //! * [`skewed_membership`] / [`skewed_possibility`] — a selector choice fans `selectors`
 //!   ways; every selector value but the last fails within a few nodes, the last gates a
-//!   non-3-colorable constraint graph whose exhaustive refutation is the actual work.
-//!   Both answers are **false**, so no scheduler can get lucky with an early witness —
-//!   the full deep subtree must be explored either way.
+//!   non-3-colorable constraint graph whose refutation is the actual work.  Both
+//!   answers are **false**, so no scheduler can get lucky with an early witness.
 //! * [`coupled_heavy_membership`] — the same non-3-colorable refutation with no
-//!   selector fan: a uniformly deep single-group tree, measuring how the parallel
-//!   backtracking path scales when the work is *not* skewed.
+//!   selector fan: a single-group tree of uniform depth.
+//!
+//! The refutation is exponential only in table order.  The engine's fail-first search
+//! branches on the most constrained row first — the planted clique's — and refutes it in
+//! a few dozen nodes.  A search that stays hard under every order is the pigeonhole
+//! principle (`pw_reductions::membership_hardness::k_col_itable` on a complete graph).
 //!
 //! All constructions are deterministic in `seed`.
 
@@ -74,8 +76,9 @@ impl SkewedParams {
 }
 
 /// The heavy constraint graph: a clique on the **last** `PALETTE + 1` vertices — so no
-/// proper `PALETTE`-coloring exists, but the search only learns that at the deepest
-/// levels — plus sparse random edges that give the refutation realistic pruning.
+/// proper `PALETTE`-coloring exists, and a search filling rows in table order only
+/// learns that at its deepest levels (a fail-first search starts on the clique) — plus
+/// sparse random edges that give the refutation realistic pruning.
 fn heavy_edges(params: &SkewedParams) -> Vec<(usize, usize)> {
     let m = params.heavy;
     assert!(
@@ -117,8 +120,7 @@ fn int_fact(values: &[i64]) -> Tuple {
 /// The instance asks for all selector facts plus all `PALETTE` palette facts `(1, b)`.
 /// Branches with `y ≠ selectors` leave the palette facts uncoverable and die after a
 /// linear walk; the `y = selectors` branch is a proper-coloring search of the heavy
-/// graph, which the planted clique refutes — exhaustively, at depth.  The answer is
-/// always **false**.
+/// graph, which the planted clique refutes.  The answer is always **false**.
 pub fn skewed_membership(params: &SkewedParams) -> (CDatabase, Instance) {
     let s = params.selectors as i64;
     let mut vars = VarGen::new();

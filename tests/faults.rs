@@ -29,7 +29,8 @@ use possible_worlds::decide::{
     Strategy,
 };
 use possible_worlds::prelude::*;
-use possible_worlds::reductions::membership_hardness::{three_col_etable, three_col_itable};
+use possible_worlds::reductions::membership_hardness::{k_col_etable, k_col_itable};
+use possible_worlds::reductions::MembershipInstance;
 use possible_worlds::solvers::Graph;
 use possible_worlds::workloads::{member_instance, mutation_stream, TableParams};
 use possible_worlds::{check, check_claim};
@@ -244,27 +245,11 @@ fn cancellation_stops_the_search() {
     assert_eq!(decision.answer, Err(DecisionError::Cancelled));
 }
 
-/// A graph that is not 3-colourable, laid out so the colouring search is long: `before`
-/// components whose colourings the search enumerates first (triangles when
-/// `triangles`, isolated vertices otherwise), then a K4 that refutes every one of them.
-fn late_k4(before: usize, triangles: bool) -> Graph {
-    let width = if triangles { 3 } else { 1 };
-    let k4 = before * width;
-    let mut graph = Graph::new(k4 + 4);
-    if triangles {
-        for t in 0..before {
-            let (a, b, c) = (3 * t, 3 * t + 1, 3 * t + 2);
-            graph.add_edge(a, b);
-            graph.add_edge(a, c);
-            graph.add_edge(b, c);
-        }
-    }
-    for a in k4..k4 + 4 {
-        for b in a + 1..k4 + 4 {
-            graph.add_edge(a, b);
-        }
-    }
-    graph
+/// The pigeonhole principle as a membership question: `holes + 1` pairwise distinct
+/// vertices in `holes` colours, through the Theorem 3.1(3) i-table.  Refuting it takes
+/// about `holes!` nodes under every row order, the engine's fail-first order included.
+fn pigeonhole_itable(holes: usize) -> MembershipInstance {
+    k_col_itable(&Graph::complete(holes + 1), holes)
 }
 
 /// Decide a containment through both front doors — the plain and the certified one —
@@ -283,10 +268,10 @@ fn containment_answers(left: &View, right: &View, cfg: EngineConfig) -> [Decisio
 
 #[test]
 fn freeze_containment_honors_cancellation() {
-    // Freeze: the ground colour-pair table K₀ against the Theorem 3.1(2) e-table of a
-    // non-3-colourable graph.  Deciding K₀'s membership walks every colouring of the
-    // four triangles before the K4 refutes it — far more than 1024 nodes.
-    let reduction = three_col_etable(&late_k4(4, true));
+    // Freeze: the ground colour-pair table K₀ against the Theorem 3.1(2) e-table of K₆
+    // in five colours.  Deciding K₀'s membership is the pigeonhole refutation — about
+    // 2k nodes, more than 1024 whichever row the search fills first.
+    let reduction = k_col_etable(&Graph::complete(6), 5);
     let right = reduction.view;
     let rows: Vec<Vec<Term>> = reduction
         .instance
@@ -299,7 +284,7 @@ fn freeze_containment_honors_cancellation() {
     assert_eq!(containment::strategy(&left, &right), Strategy::Freeze);
 
     for decision in containment_answers(&left, &right, EngineConfig::sequential(Budget(1 << 40))) {
-        assert_eq!(decision.answer, Ok(false), "no colouring extends the K4");
+        assert_eq!(decision.answer, Ok(false), "six vertices need six colours");
     }
     for decision in containment_answers(&left, &right, EngineConfig::sequential(Budget(1024))) {
         assert_eq!(decision.answer, Err(DecisionError::BudgetExceeded));
@@ -314,15 +299,14 @@ fn freeze_containment_honors_cancellation() {
 
 #[test]
 fn forall_exists_containment_honors_cancellation() {
-    // Π₂ᵖ: each of the left table's four canonical worlds needs a membership search on
-    // the Theorem 3.1(3) i-table of a non-3-colourable graph, and every such search
-    // walks the colourings of six isolated vertices before the K4 refutes them.
-    let right = three_col_itable(&late_k4(6, false)).view;
+    // Π₂ᵖ: each of the left table's eight canonical worlds needs a membership search on
+    // the seven-hole pigeonhole i-table, and the world {1, …, 7} — whichever value `x`
+    // repeats — is refuted only after about 13.7k nodes.
+    let right = pigeonhole_itable(7).view;
     let mut vars = VarGen::new();
     let x = vars.fresh();
-    let rows = [1, 2, 3]
+    let rows = (1..=7)
         .map(|c| vec![Term::constant(c)])
-        .into_iter()
         .chain([vec![Term::Var(x)]]);
     let left = View::identity(CDatabase::single(CTable::codd("T", 1, rows).unwrap()));
     assert_eq!(
@@ -331,13 +315,18 @@ fn forall_exists_containment_honors_cancellation() {
     );
 
     for decision in containment_answers(&left, &right, EngineConfig::sequential(Budget(1 << 40))) {
-        assert_eq!(decision.answer, Ok(false), "no colouring extends the K4");
+        assert_eq!(
+            decision.answer,
+            Ok(false),
+            "eight vertices need eight colours"
+        );
     }
-    // Every world's membership search gets the full budget — and exceeds 1024 nodes.
+    // Every world's membership search gets the full budget — and {1, …, 7}'s exceeds
+    // 1024 nodes.
     for decision in containment_answers(&left, &right, EngineConfig::sequential(Budget(1024))) {
         assert_eq!(decision.answer, Err(DecisionError::BudgetExceeded));
     }
-    // The enumeration visits four worlds, too few to reach its own amortized limit
+    // The enumeration visits eight worlds, too few to reach its own amortized limit
     // check: only the per-world searches can see the token.
     let token = Arc::new(CancelToken::new());
     token.cancel();
@@ -385,26 +374,20 @@ fn decoupled_db(seed: u64) -> CDatabase {
 
 // ---------------------------------------------------------------------------------------
 // Work-stealing scheduler faults: forced steals, forced re-splits, and a panic inside a
-// stolen subtree.  The skewed single-group family keeps one worker busy long enough for
-// the injections to land on a live scheduler.
+// stolen subtree.  The seven-hole pigeonhole refutation (~13.7k nodes, no witness) keeps
+// the workers busy long enough for the injections to land on a live scheduler.
 // ---------------------------------------------------------------------------------------
 
-fn skewed_case() -> (View, Instance, bool) {
-    let p = possible_worlds::workloads::SkewedParams {
-        selectors: 12,
-        heavy: 8,
-        edge_density: 0.1,
-        seed: 3,
-    };
-    let (db, instance) = possible_worlds::workloads::skewed_membership(&p);
-    (View::identity(db), instance, false)
+fn stealing_case() -> (View, Instance, bool) {
+    let reduction = pigeonhole_itable(7);
+    (reduction.view, reduction.instance, false)
 }
 
 /// A forced steal at a chosen tick lands (the counters record a successful raid) and
 /// never changes the answer, across repetitions.
 #[test]
 fn injected_steal_is_observable_and_sound() {
-    let (view, instance, expected) = skewed_case();
+    let (view, instance, expected) = stealing_case();
     for repetition in 0..2 {
         let engine = Engine::new(
             EngineConfig::with_threads(4, Budget(1_000_000_000)).with_faults(Arc::new(FaultPlan {
@@ -427,7 +410,7 @@ fn injected_steal_is_observable_and_sound() {
 /// subtrees (the resplit counter moves) without changing the answer.
 #[test]
 fn injected_split_is_observable_and_sound() {
-    let (view, instance, expected) = skewed_case();
+    let (view, instance, expected) = stealing_case();
     for repetition in 0..2 {
         let engine = Engine::new(
             EngineConfig::with_threads(4, Budget(1_000_000_000)).with_faults(Arc::new(FaultPlan {
@@ -452,14 +435,14 @@ fn injected_split_is_observable_and_sound() {
 /// every repetition, with the engine usable afterwards.
 #[test]
 fn panic_in_a_stolen_subtree_is_contained() {
-    let (view, instance, expected) = skewed_case();
+    let (view, instance, expected) = stealing_case();
     for repetition in 0..2 {
         let engine = Engine::new(
             EngineConfig::with_threads(4, Budget(1_000_000_000)).with_faults(Arc::new(FaultPlan {
                 steal_at_tick: Some(64),
                 split_at_tick: Some(64),
                 // The first amortized slow-path check past the steal/split injections
-                // (the skewed search at test size spends only a few thousand ticks).
+                // (the pigeonhole refutation spends about 13.7k ticks).
                 panic_at_tick: Some(1_024),
                 ..FaultPlan::seeded(7)
             })),

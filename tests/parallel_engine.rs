@@ -4,7 +4,9 @@
 //!   decisions on randomized `pw-workloads` tables across every table class and all five
 //!   decision problems, and
 //! * a regression test asserting that `BudgetExceeded` is reported deterministically under
-//!   parallelism when the searched tree has no witness and exceeds the budget.
+//!   parallelism when the searched tree has no witness and exceeds the budget, and
+//! * a work count pinning the fail-first search order: the hard-decide benchmark's
+//!   refutations finish within 64 nodes.
 //!
 //! The randomized cases use the seeded workload generators (no external property-testing
 //! framework is available offline); every seed is deterministic, so a failure here is
@@ -12,9 +14,11 @@
 
 use possible_worlds::decide::{batch, Engine, EngineConfig};
 use possible_worlds::prelude::*;
+use possible_worlds::reductions::membership_hardness::k_col_itable;
+use possible_worlds::solvers::Graph;
 use possible_worlds::workloads::{
-    member_instance, non_member_instance, random_codd_table, random_ctable, random_etable,
-    random_gtable, random_itable, TableParams,
+    coupled_heavy_membership, member_instance, non_member_instance, random_codd_table,
+    random_ctable, random_etable, random_gtable, random_itable, SkewedParams, TableParams,
 };
 
 fn small_params(seed: u64) -> TableParams {
@@ -192,6 +196,45 @@ fn budget_exceeded_is_deterministic_under_parallelism() {
             );
         }
     }
+}
+
+/// Work count of the fail-first search: the three 3-colouring refutations the
+/// benchmark's hard-decide workload asks about (`coupled_heavy_membership`, 10 vertices,
+/// edge density 0.2, graph seeds 0, 1 and 4) plant a 4-clique in the *last* four rows.
+/// A table-order search re-refutes that clique under every colouring of the rows before
+/// it (2.5k–3.2k nodes); branching on the most constrained row and pruning a wiped-out
+/// row refutes it in at most 22, well inside a 64-node budget at every thread count.
+/// The pigeonhole refutation beside it stays hard for any row order: 1024 nodes do not
+/// finish it.
+#[test]
+fn fail_first_refutes_the_hard_decide_graphs_within_64_nodes() {
+    for seed in [0, 1, 4] {
+        let params = SkewedParams {
+            heavy: 10,
+            edge_density: 0.2,
+            seed,
+            ..SkewedParams::default()
+        };
+        let (db, instance) = coupled_heavy_membership(&params);
+        assert_eq!(
+            membership::decide(&db, &instance, Budget(64)),
+            Ok(false),
+            "sequential, graph seed {seed}"
+        );
+        let engine = Engine::new(EngineConfig::with_threads(4, Budget(64)));
+        let view = View::identity(db);
+        assert_eq!(
+            membership::view_membership_with(&view, &instance, &engine).answer,
+            Ok(false),
+            "4 threads, graph seed {seed}"
+        );
+    }
+    let pigeonhole = k_col_itable(&Graph::complete(8), 7);
+    assert_eq!(
+        membership::decide(&pigeonhole.view.db, &pigeonhole.instance, Budget(1024)),
+        Err(DecisionError::BudgetExceeded),
+        "eight vertices in seven colours"
+    );
 }
 
 /// The engine's cancellation must not flip answers: a witness that exists is found by

@@ -1,11 +1,21 @@
 //! Proposition 2.1 cross-checks: on small random databases, the specialised decision
 //! procedures must agree with brute-force possible-world enumeration over Δ ∪ Δ′.
+//!
+//! Membership, possibility and certainty are decided under every engine configuration
+//! that can change the search tree or its evidence: sequential and 4 threads, each
+//! plain and certified.  Every certified answer must pass the independent `pw_check`
+//! checker.  The six-row tables give the fail-first search room to fill rows and
+//! facts out of table order.
 
+use possible_worlds::decide::batch::{decide_all_with, DecisionRequest};
+use possible_worlds::decide::EngineConfig;
 use possible_worlds::prelude::*;
 use possible_worlds::workloads::{
     member_instance, non_member_instance, random_codd_table, random_ctable, random_etable,
     random_gtable, random_itable, TableParams,
 };
+use possible_worlds::{check, check_claim};
+use std::collections::BTreeSet;
 
 fn small_params(seed: u64) -> TableParams {
     TableParams {
@@ -17,38 +27,67 @@ fn small_params(seed: u64) -> TableParams {
     }
 }
 
+/// The parameter sets of the membership, possibility and certainty cross-checks: four
+/// four-row seeds, then sixteen six-row seeds (sparser in nulls, so that enumerating
+/// their worlds stays cheap).
+fn crosscheck_params() -> impl Iterator<Item = TableParams> {
+    (0..4)
+        .map(small_params)
+        .chain((0..16).map(|seed| TableParams {
+            rows: 6,
+            null_density: 0.2,
+            ..small_params(seed)
+        }))
+}
+
+/// The engine configurations of the cross-checks: sequential and 4 threads, each
+/// plain and certified.
+fn engine_configs() -> [EngineConfig; 4] {
+    let sequential = EngineConfig::sequential(budget());
+    let threaded = EngineConfig::with_threads(4, budget());
+    [
+        sequential.clone(),
+        sequential.certified(),
+        threaded.clone(),
+        threaded.certified(),
+    ]
+}
+
+fn config_label(cfg: &EngineConfig) -> String {
+    let certified = if cfg.certify { ", certified" } else { "" };
+    format!("{} threads{certified}", cfg.threads)
+}
+
+/// Decide `request` under `cfg`.  A certified answer must carry a certificate that
+/// `pw_check` accepts.
+fn decide_checked(request: &DecisionRequest, cfg: &EngineConfig, context: &str) -> bool {
+    let decision = decide_all_with(std::slice::from_ref(request), cfg).remove(0);
+    let answer = decision
+        .answer
+        .unwrap_or_else(|e| panic!("{context}: {e:?}"));
+    if cfg.certify {
+        let certificate = decision
+            .certificate
+            .unwrap_or_else(|| panic!("{context}: certified answer without a certificate"));
+        check::verify(&check_claim(request, answer), &certificate)
+            .unwrap_or_else(|e| panic!("{context}: pw_check rejected the certificate: {e}"));
+    }
+    answer
+}
+
 fn budget() -> Budget {
     Budget(20_000_000)
 }
 
-/// Brute-force membership: enumerate all worlds and compare.
-fn membership_by_enumeration(db: &CDatabase, instance: &Instance) -> bool {
+/// Brute force: every world of `db` over its constants, the constants of `candidates`
+/// and enough fresh ones (Proposition 2.1's Δ ∪ Δ′).  Enumerated once per database and
+/// shared by every question about it.
+fn worlds(db: &CDatabase, candidates: &[&Instance]) -> BTreeSet<Instance> {
+    let extra: Vec<Constant> = candidates.iter().flat_map(|c| c.active_domain()).collect();
     PossibleWorlds::new(db)
-        .with_extra_constants(instance.active_domain())
+        .with_extra_constants(extra)
         .enumerate(5_000_000)
         .expect("small instances enumerate within budget")
-        .iter()
-        .any(|w| w.same_facts(instance))
-}
-
-/// Brute-force possibility.
-fn possibility_by_enumeration(db: &CDatabase, facts: &Instance) -> bool {
-    PossibleWorlds::new(db)
-        .with_extra_constants(facts.active_domain())
-        .enumerate(5_000_000)
-        .expect("small instances enumerate within budget")
-        .iter()
-        .any(|w| facts.is_subinstance_of(w))
-}
-
-/// Brute-force certainty.
-fn certainty_by_enumeration(db: &CDatabase, facts: &Instance) -> bool {
-    PossibleWorlds::new(db)
-        .with_extra_constants(facts.active_domain())
-        .enumerate(5_000_000)
-        .expect("small instances enumerate within budget")
-        .iter()
-        .all(|w| facts.is_subinstance_of(w))
 }
 
 fn generators_with(p: &TableParams) -> Vec<(&'static str, CDatabase)> {
@@ -67,49 +106,86 @@ fn generators(seed: u64) -> Vec<(&'static str, CDatabase)> {
 
 #[test]
 fn membership_agrees_with_enumeration_on_all_classes() {
-    for seed in 0..4 {
-        let p = small_params(seed);
-        for (label, db) in generators(seed) {
-            for candidate in [member_instance(&db, &p), non_member_instance(&db, &p)] {
-                let fast = membership::decide(&db, &candidate, budget()).unwrap();
-                let slow = membership_by_enumeration(&db, &candidate);
-                assert_eq!(fast, slow, "membership mismatch on {label} seed {seed}");
+    for p in crosscheck_params() {
+        let (rows, seed) = (p.rows, p.seed);
+        for (label, db) in generators_with(&p) {
+            let view = View::identity(db.clone());
+            let candidates = [member_instance(&db, &p), non_member_instance(&db, &p)];
+            let worlds = worlds(&db, &[&candidates[0], &candidates[1]]);
+            for instance in candidates {
+                let slow = worlds.iter().any(|w| w.same_facts(&instance));
+                let fast = membership::decide(&db, &instance, budget()).unwrap();
+                let context = format!("membership on {label}, {rows} rows, seed {seed}");
+                assert_eq!(fast, slow, "{context}");
+                let request = DecisionRequest::Membership {
+                    view: view.clone(),
+                    instance,
+                };
+                for cfg in engine_configs() {
+                    let context = format!("{context}, {}", config_label(&cfg));
+                    assert_eq!(decide_checked(&request, &cfg, &context), slow, "{context}");
+                }
             }
         }
     }
 }
 
+/// The possibility and certainty patterns of a database: one fact of a member world,
+/// all of it, and all of a non-member instance — the multi-fact patterns give the
+/// covering search several facts to order.
+fn patterns(db: &CDatabase, p: &TableParams) -> [Instance; 3] {
+    let world = member_instance(db, p);
+    let mut single = Instance::new();
+    if let Some((name, rel)) = world.iter().next() {
+        if let Some(fact) = rel.iter().next() {
+            single.insert_fact(name.clone(), fact.clone()).unwrap();
+        }
+    }
+    [single, world, non_member_instance(db, p)]
+}
+
 #[test]
 fn possibility_and_certainty_agree_with_enumeration_on_all_classes() {
-    for seed in 0..4 {
-        let p = small_params(seed);
-        for (label, db) in generators(seed) {
+    for p in crosscheck_params() {
+        let (rows, seed) = (p.rows, p.seed);
+        for (label, db) in generators_with(&p) {
             let view = View::identity(db.clone());
-            let world = member_instance(&db, &p);
-            // Take a single fact of the member world as the pattern P.
-            let mut pattern = Instance::new();
-            if let Some((name, rel)) = world.iter().next() {
-                if let Some(fact) = rel.iter().next() {
-                    pattern.insert_fact(name.clone(), fact.clone()).unwrap();
+            let patterns = patterns(&db, &p);
+            let worlds = worlds(&db, &[&patterns[1], &patterns[2]]);
+            for pattern in patterns {
+                let context = format!("on {label}, {rows} rows, seed {seed}");
+                let slow_poss = worlds.iter().any(|w| pattern.is_subinstance_of(w));
+                let fast_poss = possibility::decide(&view, &pattern, budget()).unwrap();
+                assert_eq!(fast_poss, slow_poss, "possibility {context}");
+                let slow_cert = worlds.iter().all(|w| pattern.is_subinstance_of(w));
+                let fast_cert = certainty::decide(&view, &pattern, budget()).unwrap();
+                assert_eq!(fast_cert, slow_cert, "certainty {context}");
+                // Certainty implies possibility (the paper's remark in Section 1.2).
+                if fast_cert {
+                    assert!(fast_poss, "certain but not possible {context}");
                 }
-            }
-            let fast_poss = possibility::decide(&view, &pattern, budget()).unwrap();
-            let slow_poss = possibility_by_enumeration(&db, &pattern);
-            assert_eq!(
-                fast_poss, slow_poss,
-                "possibility mismatch on {label} seed {seed}"
-            );
 
-            let fast_cert = certainty::decide(&view, &pattern, budget()).unwrap();
-            let slow_cert = certainty_by_enumeration(&db, &pattern);
-            assert_eq!(
-                fast_cert, slow_cert,
-                "certainty mismatch on {label} seed {seed}"
-            );
-
-            // Certainty implies possibility (the paper's remark in Section 1.2).
-            if fast_cert {
-                assert!(fast_poss, "certain but not possible on {label} seed {seed}");
+                let possibility = DecisionRequest::Possibility {
+                    view: view.clone(),
+                    facts: pattern.clone(),
+                };
+                let certainty = DecisionRequest::Certainty {
+                    view: view.clone(),
+                    facts: pattern,
+                };
+                for cfg in engine_configs() {
+                    let context = format!("{context}, {}", config_label(&cfg));
+                    assert_eq!(
+                        decide_checked(&possibility, &cfg, &context),
+                        slow_poss,
+                        "possibility {context}"
+                    );
+                    assert_eq!(
+                        decide_checked(&certainty, &cfg, &context),
+                        slow_cert,
+                        "certainty {context}"
+                    );
+                }
             }
         }
     }

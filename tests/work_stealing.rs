@@ -4,13 +4,12 @@
 //!
 //! What must hold:
 //!
-//! * on the skewed single-group families (`pw_workloads::skewed`) — the workloads the
-//!   scheduler exists for — and on decoupled multi-relation and string-heavy
-//!   workloads, stealing and static runs return bit-identical answers, strategies and
-//!   certificates;
+//! * on the skewed single-group families (`pw_workloads::skewed`), on the pigeonhole
+//!   refutation, and on decoupled multi-relation and string-heavy workloads, stealing
+//!   and static runs return bit-identical answers, strategies and certificates;
 //! * budget exhaustion stays deterministic under stealing: a starved no-witness search
 //!   reports [`DecisionError::BudgetExceeded`] on every repetition and thread count;
-//! * the scheduler's [`EngineStats`] counters actually populate on a skewed search
+//! * the scheduler's [`EngineStats`] counters actually populate on a long search
 //!   (steals succeed, subtrees re-split, the busy clock advances);
 //! * randomized property: through `redecide_all` on random mutation streams, the
 //!   stealing engine, the static engine and a fresh decide agree outcome-for-outcome.
@@ -21,15 +20,17 @@ use possible_worlds::decide::{
     membership, possibility, Budget, DecisionError, Engine, EngineConfig,
 };
 use possible_worlds::prelude::*;
+use possible_worlds::reductions::membership_hardness::k_col_itable;
+use possible_worlds::solvers::Graph;
 use possible_worlds::workloads::{
     coupled_heavy_membership, member_instance, mutation_stream, skewed_membership,
     skewed_possibility, stringify_database, stringify_instance, SkewedParams, TableParams,
 };
 use proptest::prelude::*;
 
-/// Small enough for a test, skewed enough to trigger re-splitting: the selector fan
-/// (12) exceeds a 2-thread static frontier target, and the heavy branch refutation is
-/// a few thousand nodes.
+/// Small enough for a test: the selector fan (12) exceeds a 2-thread static frontier
+/// target.  The fail-first search refutes the heavy branch's planted clique in a few
+/// dozen nodes, so these families pin answers, not scheduler load.
 fn small_skew() -> SkewedParams {
     SkewedParams {
         selectors: 12,
@@ -76,9 +77,17 @@ fn requests_for(db: &CDatabase, member: &Instance) -> Vec<DecisionRequest> {
     ]
 }
 
-/// On the skewed families — integer and string-heavy — the stealing scheduler, the
-/// static frontier split and the sequential search agree on answers and strategies at
-/// every thread count.
+/// The pigeonhole principle as a membership question: `holes + 1` pairwise distinct
+/// vertices in `holes` colours.  Its refutation takes about `holes!` nodes under every
+/// row order, so it loads the scheduler whatever slot the search fills first.
+fn pigeonhole(holes: usize) -> (CDatabase, Instance) {
+    let reduction = k_col_itable(&Graph::complete(holes + 1), holes);
+    (reduction.view.db, reduction.instance)
+}
+
+/// On the skewed families and the pigeonhole refutation — integer and string-heavy —
+/// the stealing scheduler, the static frontier split and the sequential search agree
+/// on answers and strategies at every thread count.
 #[test]
 fn stealing_matches_static_on_skewed_workloads() {
     let budget = Budget(50_000_000);
@@ -86,6 +95,7 @@ fn stealing_matches_static_on_skewed_workloads() {
     for (family, (db, instance)) in [
         ("skewed_membership", skewed_membership(&p)),
         ("coupled_heavy", coupled_heavy_membership(&p)),
+        ("pigeonhole", pigeonhole(6)),
     ] {
         for (variant, db, instance) in [
             ("int", db.clone(), instance.clone()),
@@ -212,12 +222,13 @@ fn budget_exhaustion_is_deterministic_under_stealing() {
     }
 }
 
-/// The scheduler's live counters populate on a skewed search at 8 threads: workers go
-/// hungry and raid (steals succeed), the busy branch re-splits for them, and the busy
-/// clock records a nonzero critical path no longer than the total.
+/// The scheduler's live counters populate on a long search at 8 threads — the seven-hole
+/// pigeonhole refutation, about 13.7k nodes: workers go hungry and raid (steals
+/// succeed), the busy branch re-splits for them, and the busy clock records a nonzero
+/// critical path no longer than the total.
 #[test]
 fn stealing_counters_populate_on_a_skewed_search() {
-    let (db, instance) = skewed_membership(&small_skew());
+    let (db, instance) = pigeonhole(7);
     let view = View::identity(db);
     let engine = Engine::new(EngineConfig::with_threads(8, Budget(1_000_000_000)));
     let decision = membership::view_membership_with(&view, &instance, &engine);
