@@ -50,12 +50,21 @@ impl SatCache {
         self.map.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Drop every interned conjunction for which `keep` returns false.  Engine-side
-    /// cache hygiene: when a database version is retired after a delta, the
-    /// conditions it no longer shares with the live version are purged so week-long
-    /// sessions do not accumulate dead entries.
-    pub fn retain(&self, mut keep: impl FnMut(&Conjunction) -> bool) {
-        self.lock_map().retain(|cond, _| keep(cond));
+    /// Drop the interned entries of `dead`, one map probe each, and return how many
+    /// were present.  Engine-side cache hygiene: when a delta retires a database
+    /// version, the conditions it no longer shares with the live version are purged so
+    /// week-long sessions do not accumulate dead entries.  The cost is the length of
+    /// `dead`, not the size of the cache.
+    pub fn forget<'a>(&self, dead: impl IntoIterator<Item = &'a Conjunction>) -> usize {
+        let mut map = self.lock_map();
+        dead.into_iter()
+            .filter(|cond| map.remove(*cond).is_some())
+            .count()
+    }
+
+    /// Is `c` interned?  A pure probe: no counter moves and nothing is solved.
+    pub fn contains(&self, c: &Conjunction) -> bool {
+        self.lock_map().contains_key(c)
     }
 
     /// Memoized satisfiability: equivalent to [`Conjunction::is_satisfiable`], but each
@@ -132,6 +141,24 @@ mod tests {
         assert_eq!(stats.misses, 2);
         assert_eq!(stats.hits, 2);
         assert_eq!(stats.entries, 2);
+    }
+
+    #[test]
+    fn forget_drops_only_the_named_entries() {
+        let mut g = VarGen::new();
+        let x = g.fresh();
+        let (a, b) = (
+            Conjunction::single(Atom::eq(x, 1)),
+            Conjunction::single(Atom::eq(x, 2)),
+        );
+        let cache = SatCache::new();
+        assert!(cache.is_satisfiable(&a) && cache.is_satisfiable(&b));
+        let never_seen = Conjunction::single(Atom::eq(x, 3));
+        assert_eq!(cache.forget([&a, &never_seen]), 1);
+        assert!(!cache.contains(&a) && cache.contains(&b));
+        assert_eq!(cache.stats().entries, 1);
+        assert!(cache.is_satisfiable(&b));
+        assert_eq!(cache.stats().hits, 1, "b survived the purge");
     }
 
     #[test]

@@ -560,16 +560,16 @@ impl CDatabase {
     ///   so its projected sub-database keeps its cache identity (fingerprint, base
     ///   stores, decision memo) across the delta.
     ///
-    /// Returns the new database and the indices (in the *new* graph) of the rebuilt
-    /// groups.
+    /// Returns the new database, the indices (in the *new* graph) of the rebuilt groups,
+    /// and the indices (in *this* graph) of the groups they replaced.
     pub(crate) fn apply_tables(
         &self,
         new_tables: Vec<CTable>,
         changed: &[usize],
-    ) -> (CDatabase, Vec<usize>) {
+    ) -> (CDatabase, Vec<usize>, Vec<usize>) {
         debug_assert_eq!(new_tables.len(), self.tables.len());
         if changed.is_empty() {
-            return (self.clone(), Vec::new());
+            return (self.clone(), Vec::new(), Vec::new());
         }
         let old_graph = self.coupling();
         let state = ShardState::default();
@@ -608,12 +608,10 @@ impl CDatabase {
                     || changed_vars.iter().any(|v| group.vars.contains(v))
             })
             .collect();
-        let affected: Vec<usize> = old_graph
-            .groups
+        let dissolved: Vec<usize> = (0..dirty_old.len()).filter(|&g| dirty_old[g]).collect();
+        let affected: Vec<usize> = dissolved
             .iter()
-            .zip(&dirty_old)
-            .filter(|(_, &d)| d)
-            .flat_map(|(g, _)| g.members().iter().copied())
+            .flat_map(|&g| old_graph.groups[g].members().iter().copied())
             .collect();
         let rebuilt = next.build_groups(affected);
         let rebuilt_keys: BTreeSet<usize> = rebuilt.iter().map(|g| g.members()[0]).collect();
@@ -643,7 +641,7 @@ impl CDatabase {
             groups: groups.into(),
             group_of: group_of.into(),
         });
-        (next, dirty_new)
+        (next, dirty_new, dissolved)
     }
 }
 

@@ -167,12 +167,16 @@ impl From<TableError> for DeltaError {
     }
 }
 
-/// What a [`CDatabase::apply`] call changed, phrased against the **new** database.
+/// What a [`CDatabase::apply`] call changed: the changed tables, the groups of the
+/// **new** database that were rebuilt, and the groups of the **old** database they
+/// replaced.
 ///
 /// `pw-decide` reads this to know which shard groups lost their memoized verdicts: a
 /// group listed in [`DbDelta::dirty_groups`] was rebuilt (its fingerprint changed, so
 /// the decision memo misses and the group is re-searched); every other group of the new
 /// database is carried over from the old one by refcount and replays from the memo.
+/// The old groups listed in [`DbDelta::dissolved_groups`] are exactly the ones that no
+/// longer exist, so a cache can retire them without comparing the two group lists.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct DbDelta {
     /// Positions (table order) of the tables whose content changed.  Empty for a no-op
@@ -181,6 +185,12 @@ pub struct DbDelta {
     /// Indices, in the new database's coupling graph, of the groups that were rebuilt.
     /// A merge of previously independent groups shows up as one dirty group here.
     pub dirty_groups: Vec<usize>,
+    /// Indices, in the **old** database's coupling graph, of the groups the rebuilt ones
+    /// replaced: every old group that held a changed table or owned a variable of a
+    /// changed table's new contents.  None of them survives into the new graph (each
+    /// lost or gained a table, or holds a table whose content changed), and every other
+    /// old group survives unchanged.
+    pub dissolved_groups: Vec<usize>,
     /// Group count before the delta.
     pub groups_before: usize,
     /// Group count after the delta.
@@ -199,13 +209,21 @@ impl CDatabase {
     /// which shards and shard groups changed.
     ///
     /// The returned database **reuses** everything the delta did not touch: untouched
-    /// [`crate::ShardGroup`]s are carried over from this database's coupling graph by
-    /// refcount (same projected sub-database, same cached fingerprint — so engine caches
-    /// keyed by the sub-database keep hitting), the registered shard map is shared, and
-    /// the structural fingerprint is re-combined from per-table hashes with only the
-    /// changed tables re-hashed.  Application is atomic: any resolution error leaves
-    /// this database untouched.  An empty (or effectless) delta returns a clone sharing
-    /// the table allocation.
+    /// tables are shared by refcount ([`CTable`] keeps its contents behind an `Arc`),
+    /// untouched [`crate::ShardGroup`]s are carried over from this database's coupling
+    /// graph by refcount (same projected sub-database, same cached fingerprint — so
+    /// engine caches keyed by the sub-database keep hitting), the registered shard map
+    /// is shared, and the structural fingerprint is re-combined from per-table hashes
+    /// with only the changed tables re-hashed.  Application is atomic: any resolution
+    /// error leaves this database untouched.  An empty (or effectless) delta returns a
+    /// clone sharing the table allocation.
+    ///
+    /// # Cost
+    ///
+    /// Rows are copied and hashed only for the changed tables, and only the dissolved
+    /// groups are re-partitioned.  What remains proportional to the table count is a
+    /// handful of machine words per table or group: the refcount bumps of the untouched
+    /// tables and groups, the per-table hash vector and the table → group index.
     pub fn apply(&self, delta: &Delta) -> Result<(CDatabase, DbDelta), DeltaError> {
         use std::collections::BTreeMap;
         // Resolve every op to a table position first, so application is atomic.
@@ -274,13 +292,14 @@ impl CDatabase {
         }
 
         let groups_before = self.shard_groups().len();
-        let (next, dirty_groups) = self.apply_tables(new_tables, &changed);
+        let (next, dirty_groups, dissolved_groups) = self.apply_tables(new_tables, &changed);
         let groups_after = next.shard_groups().len();
         Ok((
             next,
             DbDelta {
                 changed_tables: changed,
                 dirty_groups,
+                dissolved_groups,
                 groups_before,
                 groups_after,
             },
@@ -371,7 +390,15 @@ mod tests {
         let (next, change) = db.apply(&delta).unwrap();
         assert_eq!(change.changed_tables, vec![0]);
         assert_eq!(change.dirty_groups, vec![0]);
+        assert_eq!(change.dissolved_groups, vec![0]);
         assert_eq!((change.groups_before, change.groups_after), (3, 3));
+        // The untouched tables share their rows with the old version.
+        for t in 1..3 {
+            assert!(std::ptr::eq(
+                db.tables()[t].tuples().as_ptr(),
+                next.tables()[t].tuples().as_ptr()
+            ));
+        }
         let after = next.shard_groups();
         // Groups 1 and 2 (S, V) are the same allocation as before the delta.
         for g in 1..3 {
@@ -406,6 +433,11 @@ mod tests {
         let (merged, change) = db.apply(&merge).unwrap();
         assert_eq!(merged.shard_groups().len(), 1);
         assert_eq!(change.dirty_groups, vec![0]);
+        assert_eq!(
+            change.dissolved_groups,
+            vec![0, 1],
+            "both old groups merged"
+        );
         assert_eq!((change.groups_before, change.groups_after), (2, 1));
         // Retracting that row splits them again; the incremental graph agrees with a
         // fresh build.
@@ -413,6 +445,7 @@ mod tests {
         let (split_db, change) = merged.apply(&split).unwrap();
         assert_eq!(split_db.shard_groups().len(), 2);
         assert_eq!(change.dirty_groups, vec![0, 1]);
+        assert_eq!(change.dissolved_groups, vec![0], "the merged group split");
         let fresh = CDatabase::new(split_db.tables().iter().cloned());
         assert_eq!(fresh.shard_group_index(), split_db.shard_group_index());
     }
@@ -425,6 +458,7 @@ mod tests {
         assert_eq!(next.table_count(), 3, "an emptied table is still a shard");
         assert!(next.table("S").unwrap().is_empty());
         assert_eq!(change.dirty_groups, vec![1]);
+        assert_eq!(change.dissolved_groups, vec![1]);
         assert_eq!(next.shard_groups().len(), 3);
         let fresh = CDatabase::new(next.tables().iter().cloned());
         assert_eq!(fresh.shard_group_index(), next.shard_group_index());

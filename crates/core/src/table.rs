@@ -10,6 +10,8 @@ use pw_condition::{Atom, Conjunction, Term, Variable};
 use pw_relational::Constant;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
 
 /// Errors raised when constructing tables.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -167,12 +169,47 @@ impl fmt::Display for CTuple {
 /// Every level of the paper's hierarchy is a `CTable`; use [`CTable::classify`] to find the
 /// tightest class, or the restricted constructors ([`CTable::codd`], [`CTable::e_table`],
 /// [`CTable::i_table`], [`CTable::g_table`]) to enforce a level at construction time.
-#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+///
+/// A table is immutable after construction and keeps its contents behind one `Arc`, so
+/// cloning it is a refcount bump.  That is what makes [`crate::CDatabase::apply`] cost
+/// in proportion to the delta: the new version's copy of every untouched table, and the
+/// later drop of the retired version, are refcount operations.  Equality and hashing
+/// are by value (pointer-equal bodies short-cut the comparison).
+#[derive(Clone, Eq)]
 pub struct CTable {
+    body: Arc<TableBody>,
+}
+
+/// The shared contents of a [`CTable`].
+#[derive(PartialEq, Eq, Hash)]
+struct TableBody {
     name: String,
     arity: usize,
     global: Conjunction,
     tuples: Vec<CTuple>,
+}
+
+impl PartialEq for CTable {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.body, &other.body) || self.body == other.body
+    }
+}
+
+impl Hash for CTable {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.body.hash(state);
+    }
+}
+
+impl fmt::Debug for CTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("CTable")
+            .field("name", &self.body.name)
+            .field("arity", &self.body.arity)
+            .field("global", &self.body.global)
+            .field("tuples", &self.body.tuples)
+            .finish()
+    }
 }
 
 impl CTable {
@@ -193,10 +230,12 @@ impl CTable {
             }
         }
         Ok(CTable {
-            name: name.into(),
-            arity,
-            global,
-            tuples,
+            body: Arc::new(TableBody {
+                name: name.into(),
+                arity,
+                global,
+                tuples,
+            }),
         })
     }
 
@@ -252,7 +291,7 @@ impl CTable {
         }
         let table = CTable::new(name, arity, global, rows.into_iter().map(CTuple::of_terms))?;
         let mut seen: BTreeSet<Variable> = BTreeSet::new();
-        for row in &table.tuples {
+        for row in &table.body.tuples {
             for v in row.term_variables() {
                 if !seen.insert(v) {
                     return Err(TableError::NotInClass {
@@ -278,38 +317,38 @@ impl CTable {
 
     /// The table's relation name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.body.name
     }
 
     /// The table's arity.
     pub fn arity(&self) -> usize {
-        self.arity
+        self.body.arity
     }
 
     /// The global condition φ_T.
     pub fn global_condition(&self) -> &Conjunction {
-        &self.global
+        &self.body.global
     }
 
     /// The rows.
     pub fn tuples(&self) -> &[CTuple] {
-        &self.tuples
+        &self.body.tuples
     }
 
     /// Number of rows.
     pub fn len(&self) -> usize {
-        self.tuples.len()
+        self.body.tuples.len()
     }
 
     /// Whether the table has no rows.
     pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
+        self.body.tuples.is_empty()
     }
 
     /// All variables of the table: in rows, local conditions, and the global condition.
     pub fn variables(&self) -> BTreeSet<Variable> {
-        let mut out: BTreeSet<Variable> = self.global.variables();
-        for t in &self.tuples {
+        let mut out: BTreeSet<Variable> = self.body.global.variables();
+        for t in &self.body.tuples {
             out.extend(t.variables());
         }
         out
@@ -317,8 +356,8 @@ impl CTable {
 
     /// All interned constants of the table: rows, local conditions, global condition.
     pub fn syms(&self) -> BTreeSet<pw_relational::Sym> {
-        let mut out: BTreeSet<pw_relational::Sym> = self.global.syms();
-        for t in &self.tuples {
+        let mut out: BTreeSet<pw_relational::Sym> = self.body.global.syms();
+        for t in &self.body.tuples {
             out.extend(t.syms());
         }
         out
@@ -334,14 +373,14 @@ impl CTable {
 
     /// Whether any local condition is non-trivial.
     pub fn has_local_conditions(&self) -> bool {
-        self.tuples.iter().any(|t| !t.has_trivial_condition())
+        self.body.tuples.iter().any(|t| !t.has_trivial_condition())
     }
 
     /// Whether some variable occurs more than once across the *table part* (rows), i.e.
     /// whether equalities have been folded into the table.
     pub fn has_repeated_variables(&self) -> bool {
         let mut seen: BTreeSet<Variable> = BTreeSet::new();
-        for t in &self.tuples {
+        for t in &self.body.tuples {
             for v in t.term_variables() {
                 if !seen.insert(v) {
                     return true;
@@ -357,17 +396,17 @@ impl CTable {
             return TableClass::CTable;
         }
         let repeated = self.has_repeated_variables();
-        if self.global.is_empty() {
+        if self.body.global.is_empty() {
             return if repeated {
                 TableClass::ETable
             } else {
                 TableClass::Codd
             };
         }
-        if self.global.is_inequalities_only() && !repeated {
+        if self.body.global.is_inequalities_only() && !repeated {
             return TableClass::ITable;
         }
-        if self.global.is_equalities_only() && !repeated {
+        if self.body.global.is_equalities_only() && !repeated {
             // A pure-equality global condition is an e-table with the equalities not yet
             // folded in; fold-ability is a normalisation concern, the class is ETable only
             // when the equalities involve table variables.  We keep it simple and report
@@ -384,11 +423,11 @@ impl CTable {
     /// hierarchy (g-table → i-/e-table).  Returns `None` if the global condition is
     /// unsatisfiable (the represented set is empty).
     pub fn normalize_equalities(&self) -> Option<CTable> {
-        if !self.global.is_satisfiable() {
+        if !self.body.global.is_satisfiable() {
             return None;
         }
         // Propagate var = const bindings (ids only — no constant is resolved here).
-        let forced = self.global.forced_constants()?;
+        let forced = self.body.global.forced_constants()?;
         let forced_map: BTreeMap<Variable, pw_relational::Sym> = forced.into_iter().collect();
         // Unify var = var chains onto a representative (the smallest variable).
         let mut parent: BTreeMap<Variable, Variable> = BTreeMap::new();
@@ -402,7 +441,7 @@ impl CTable {
                 root
             }
         }
-        for atom in self.global.atoms() {
+        for atom in self.body.global.atoms() {
             if let Atom::Eq(Term::Var(a), Term::Var(b)) = atom {
                 let ra = find(&mut parent, *a);
                 let rb = find(&mut parent, *b);
@@ -441,13 +480,14 @@ impl CTable {
         };
         // Keep only the global atoms that are not now trivially true.
         let remaining_global = Conjunction::new(
-            rewrite_conj(&self.global)
+            rewrite_conj(&self.body.global)
                 .atoms()
                 .iter()
                 .filter(|a| a.trivial_value() != Some(true))
                 .copied(),
         );
         let tuples = self
+            .body
             .tuples
             .iter()
             .map(|t| CTuple {
@@ -456,18 +496,24 @@ impl CTable {
             })
             .collect::<Vec<_>>();
         Some(CTable {
-            name: self.name.clone(),
-            arity: self.arity,
-            global: remaining_global,
-            tuples,
+            body: Arc::new(TableBody {
+                name: self.body.name.clone(),
+                arity: self.body.arity,
+                global: remaining_global,
+                tuples,
+            }),
         })
     }
 
     /// Rename the table (keeps everything else).
     pub fn renamed(&self, name: impl Into<String>) -> CTable {
         CTable {
-            name: name.into(),
-            ..self.clone()
+            body: Arc::new(TableBody {
+                name: name.into(),
+                arity: self.body.arity,
+                global: self.body.global.clone(),
+                tuples: self.body.tuples.clone(),
+            }),
         }
     }
 
@@ -484,17 +530,17 @@ impl CTable {
     /// The check is purely syntactic: it does not decide whether two tables represent the
     /// same set of worlds (that question is a containment both ways).
     pub fn alpha_equivalent(&self, other: &CTable) -> bool {
-        if self.name != other.name
-            || self.arity != other.arity
-            || self.tuples.len() != other.tuples.len()
+        if self.body.name != other.body.name
+            || self.body.arity != other.body.arity
+            || self.body.tuples.len() != other.body.tuples.len()
         {
             return false;
         }
         let mut renaming = VariableBijection::default();
-        if !conjunctions_match(&self.global, &other.global, &mut renaming) {
+        if !conjunctions_match(&self.body.global, &other.body.global, &mut renaming) {
             return false;
         }
-        for (a, b) in self.tuples.iter().zip(&other.tuples) {
+        for (a, b) in self.body.tuples.iter().zip(&other.body.tuples) {
             if a.terms.len() != b.terms.len() {
                 return false;
             }
@@ -560,12 +606,12 @@ fn conjunctions_match(a: &Conjunction, b: &Conjunction, renaming: &mut VariableB
 
 impl fmt::Display for CTable {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{} [{}]", self.name, self.classify())?;
-        if !self.global.is_empty() {
-            write!(f, "  ⟨{}⟩", self.global)?;
+        write!(f, "{} [{}]", self.body.name, self.classify())?;
+        if !self.body.global.is_empty() {
+            write!(f, "  ⟨{}⟩", self.body.global)?;
         }
         writeln!(f)?;
-        for t in &self.tuples {
+        for t in &self.body.tuples {
             writeln!(f, "  {t}")?;
         }
         Ok(())

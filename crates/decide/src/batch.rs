@@ -151,6 +151,20 @@ pub struct Redecision {
     pub change: DbDelta,
     /// The outcomes, positionally aligned with the request slice.
     pub outcomes: Vec<DecisionOutcome>,
+    /// The work the delta's cache retirement did.
+    pub retired: RetireWork,
+}
+
+/// The work one delta's cache retirement did: counts that follow the shape of the
+/// delta, not the size of the database or of the memo.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct RetireWork {
+    /// Candidate conditions checked for the SatCache purge
+    /// ([`Engine::retire_conditions`]).
+    pub conditions_checked: usize,
+    /// Decision-memo entries visited, each one dropped, while retiring the dissolved
+    /// shard groups and the previous database value ([`Engine::retire_database`]).
+    pub memo_entries_visited: usize,
 }
 
 /// A long-lived batch session: one [`Engine`] owning the caches that make repeated and
@@ -198,6 +212,8 @@ pub struct StandingUpdate {
     pub redecided: usize,
     /// Standing requests skipped outright — they did not even consult the memo.
     pub skipped: usize,
+    /// The work the delta's cache retirement did.
+    pub retired: RetireWork,
 }
 
 /// Which shard groups can change a standing request's verdict.
@@ -362,7 +378,7 @@ impl Session {
         delta: &Delta,
         requests: &[DecisionRequest],
     ) -> Result<Redecision, DeltaError> {
-        let (db, change) = advance(&self.engine, prev, delta)?;
+        let (db, change, retired) = advance(&self.engine, prev, delta)?;
         let rebound: Vec<DecisionRequest> = requests
             .iter()
             .map(|r| rebind(r, tracking(r, prev), &db))
@@ -372,6 +388,7 @@ impl Session {
             db,
             change,
             outcomes,
+            retired,
         })
     }
 
@@ -439,7 +456,7 @@ impl Session {
             .standing
             .as_mut()
             .expect("push_delta requires a prior register_standing");
-        let (db, change) = advance(&self.engine, &set.db, delta)?;
+        let (db, change, retired) = advance(&self.engine, &set.db, delta)?;
         set.db = db.clone();
         if change.is_noop() {
             return Ok(StandingUpdate {
@@ -448,6 +465,7 @@ impl Session {
                 flips: Vec::new(),
                 redecided: 0,
                 skipped: set.entries.len(),
+                retired,
             });
         }
 
@@ -499,6 +517,7 @@ impl Session {
             flips,
             redecided: affected.len(),
             skipped: set.entries.len() - affected.len(),
+            retired,
         })
     }
 
@@ -604,31 +623,33 @@ fn rebind(
     }
 }
 
-/// Apply `delta` to `prev` and retire the caches of everything it dissolved: old shard
-/// groups that no longer appear in the new graph, the previous joint value, and the
+/// Apply `delta` to `prev` and retire the caches of everything it dissolved: the old
+/// shard groups [`DbDelta::dissolved_groups`] names, the previous joint value, and the
 /// conditions the retired value no longer shares with the live one (the SatCache is
 /// keyed by condition, not database).  The one delta step behind
 /// [`Session::redecide_all`] and [`Session::push_delta`].
+///
+/// Every step but the replay that follows costs in proportion to the delta: `apply`
+/// shares the untouched tables and groups by refcount, the dissolved groups are read
+/// off the change instead of comparing the two group lists, each retired database
+/// drops only its own memo entries (one probe when it owns none), and the condition
+/// purge starts from the changed tables.  The returned [`RetireWork`] counts that work.
 fn advance(
     engine: &Engine,
     prev: &CDatabase,
     delta: &Delta,
-) -> Result<(CDatabase, DbDelta), DeltaError> {
+) -> Result<(CDatabase, DbDelta, RetireWork), DeltaError> {
     let (db, change) = prev.apply(delta)?;
+    let mut work = RetireWork::default();
     if !change.is_noop() {
-        for old in prev.shard_groups() {
-            let survives = db
-                .shard_groups()
-                .iter()
-                .any(|new| new.database() == old.database());
-            if !survives {
-                engine.retire_database(old.database());
-            }
+        let old_groups = prev.shard_groups();
+        for &g in &change.dissolved_groups {
+            work.memo_entries_visited += engine.retire_database(old_groups[g].database());
         }
-        engine.retire_database(prev);
-        engine.retire_conditions(prev, &db);
+        work.memo_entries_visited += engine.retire_database(prev);
+        work.conditions_checked = engine.retire_conditions(prev, &db, &change);
     }
-    Ok((db, change))
+    Ok((db, change, work))
 }
 
 /// Decide `requests` with the memo pinned for the whole batch: a bounded memo must not

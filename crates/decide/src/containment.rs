@@ -21,6 +21,7 @@ use crate::membership;
 use pw_core::{CDatabase, Certificate, PairCert, TableClass, Valuation, View};
 use pw_relational::Instance;
 use std::sync::Mutex;
+use std::time::Instant;
 
 /// Decide `CONT(q₀, q)`: `rep(view0) ⊆ rep(view)`.
 pub fn decide(view0: &View, view: &View, budget: Budget) -> Result<bool, DecisionError> {
@@ -343,16 +344,21 @@ pub fn forall_exists_with(
 ///
 /// The ∃ half runs on one inner engine per call, built from the caller's configuration:
 /// single-threaded (the enumeration already occupies the caller's threads), uncertified,
-/// and under the caller's cancel token, fault plan and deadline (which, like every search
-/// phase's, starts when the world's search starts).  Every world's membership search
+/// and under the caller's cancel token and fault plan.  Every world's membership search
 /// gets the full budget.  The worlds share the inner engine's
 /// sat-cache and base stores; its memo is capped at one entry, since every world asks
 /// about a different instance.
+///
+/// The caller's deadline is resolved **once**, when the call starts, and bounds the
+/// whole enumeration: every world's search stops at that instant, and no world starts
+/// after it.  (The enumeration's own amortized limit check sees too few nodes to
+/// fire, and a per-world deadline would let the request run once per world.)
 fn counterexample(
     view0: &View,
     view: &View,
     engine: &Engine,
 ) -> Result<Option<Valuation>, DecisionError> {
+    let deadline = engine.deadline_from_now();
     let vars: Vec<_> = view0.db.variables().into_iter().collect();
     let mut delta = evaluation_delta(&view0.db, view.db.constants());
     delta.extend(view0.query.constants());
@@ -360,15 +366,19 @@ fn counterexample(
     let mut inner = engine.config().clone().with_memo_capacity(1);
     inner.threads = 1;
     inner.certify = false;
-    let inner = Engine::new(inner);
+    inner.deadline = None;
+    let inner = Engine::new(inner).with_deadline_at(deadline);
     let inner_failure: Mutex<Option<DecisionError>> = Mutex::new(None);
-    let counterexample =
+    let found =
         engine.find_canonical_valuation(view0.db.symbols(), &vars, &delta, |valuation| {
+            if deadline.is_some_and(|at| Instant::now() >= at) {
+                return Some(Err(DecisionError::DeadlineExceeded));
+            }
             let world = valuation.world_of(&view0.db)?;
             let left_output: Instance = view0.query.eval(&world);
             match membership::view_membership_with(view, &left_output, &inner).answer {
                 Ok(true) => None,
-                Ok(false) => Some(valuation.clone()),
+                Ok(false) => Some(Ok(valuation.clone())),
                 Err(err) => {
                     // Not a witness: this world's membership is unresolved.  Keep
                     // searching — another world may be a definitive counterexample.
@@ -378,9 +388,10 @@ fn counterexample(
             }
         })?;
     let failure = crate::engine::lock_unpoisoned(&inner_failure).take();
-    match failure {
-        Some(err) if counterexample.is_none() => Err(err),
-        _ => Ok(counterexample),
+    match (found, failure) {
+        (Some(counterexample), _) => counterexample.map(Some),
+        (None, Some(err)) => Err(err),
+        (None, None) => Ok(None),
     }
 }
 

@@ -56,7 +56,7 @@ use crate::common::{
 };
 use pw_condition::Variable;
 use pw_condition::{Atom, Conjunction, ConstraintSet, SatCache, Term};
-use pw_core::{CDatabase, CTable, Certificate, Valuation};
+use pw_core::{CDatabase, CTable, Certificate, DbDelta, Valuation};
 use pw_relational::{Constant, Instance, Sym, Symbols, Tuple};
 use std::any::Any;
 use std::collections::{BTreeSet, HashMap, HashSet, VecDeque};
@@ -1048,57 +1048,234 @@ pub struct Engine {
     /// database *value* (structural hash + equality), so cloned databases share an entry
     /// and distinct databases can never collide.
     base_stores: Mutex<HashMap<CDatabase, Option<ConstraintSet>>>,
-    /// The decision memo: per-group verdicts keyed by [`MemoKey`].  The group database
-    /// hashes as its cached structural fingerprint and compares structurally, so a
-    /// shard group carried across a delta ([`pw_core::CDatabase::apply`]) replays its
-    /// verdict while a rebuilt (dirty) group misses and is re-searched.  Only definite
-    /// answers are stored — a budget-exceeded search is never memoized.  Certified
-    /// decides store their evidence beside the verdict ([`MemoEntry`]), so a replayed
-    /// group answer stays auditable.  Bounded by [`EngineConfig::memo_capacity`] with
-    /// second-chance eviction ([`MemoTable`]).
+    /// The decision memo: per-group verdicts keyed by the group database and a
+    /// [`MemoSlot`].  The group database hashes as its cached structural fingerprint
+    /// and compares structurally, so a shard group carried across a delta
+    /// ([`pw_core::CDatabase::apply`]) replays its verdict while a rebuilt (dirty)
+    /// group misses and is re-searched.  Only definite answers are stored — a
+    /// budget-exceeded search is never memoized.  Certified decides store their
+    /// evidence beside the verdict ([`MemoEntry`]), so a replayed group answer stays
+    /// auditable.  Bounded by [`EngineConfig::memo_capacity`] with second-chance
+    /// eviction ([`MemoTable`]).
     decision_memo: Mutex<MemoTable>,
     memo_hits: AtomicU64,
     memo_misses: AtomicU64,
     /// Work-stealing scheduler counters, accumulated across every search this engine
     /// drives; snapshot via [`Engine::stats`].
     stats: EngineStatsCounters,
+    /// An absolute deadline every search of this engine shares, on top of the
+    /// configured per-search one: set on the inner engine of a search nested inside
+    /// one request ([`Engine::with_deadline_at`]), so all of them stop at the request's
+    /// deadline rather than each at its own.
+    deadline_at: Option<Instant>,
 }
 
-/// The bounded decision memo: entries plus the clock (second-chance) eviction state.
+/// The decision memo, laid out database → entries, so that retiring a database
+/// touches only what it owns.
 ///
-/// Eviction policy: every insert that pushes `entries` past
-/// [`EngineConfig::memo_capacity`] sweeps the clock hand — a referenced entry (hit
-/// since the hand last passed) gets its bit cleared and one more lap, an unreferenced
-/// one evicts, certificate and all.  While `pins > 0` (a `batch::Session` delta
-/// replay in flight) nothing evicts; the
-/// unpin re-enforces the bound.  Correctness does not depend on the policy at all:
-/// an evicted entry is simply recomputed on the next miss, and only definite answers
-/// are ever stored, so the recomputed verdict is identical.
+/// A memo key is a (group) database plus a [`MemoSlot`].  `by_db` maps each database
+/// to its slots, and `by_rhs` indexes the containment entries by the database on their
+/// right.  A hit is one probe of each level; [`MemoTable::retire`] drops the
+/// retiring database's own slot map with one probe and then removes one slot per
+/// containment entry that names it on the right, so its cost is the number of entries
+/// it drops (one probe when it owns none), never the size of the memo.  The index holds
+/// database handles (refcounts), not copies of the keys: a containment slot is fully
+/// determined by its right-hand database.
+///
+/// Eviction policy, when the memo is bounded ([`EngineConfig::memo_capacity`] or an
+/// eviction storm): every insert that pushes the entry count past the bound sweeps
+/// the clock hand — a referenced entry (hit since the hand last passed) gets its bit
+/// cleared and one more lap, an unreferenced one evicts, certificate and all.  While
+/// `pins > 0` (a `batch::Session` delta replay in flight) nothing evicts; the unpin
+/// re-enforces the bound.  Correctness does not depend on the policy at all: an
+/// evicted entry is simply recomputed on the next miss, and only definite answers are
+/// ever stored, so the recomputed verdict is identical.  An unbounded memo keeps no
+/// clock.
 #[derive(Debug, Default)]
 struct MemoTable {
-    entries: HashMap<MemoKey, MemoEntry>,
-    /// The clock hand's queue: keys in insertion/second-chance order.  May hold stale
-    /// keys after [`Engine::retire_database`] sweeps `entries`; the eviction loop
-    /// skips them.
-    clock: VecDeque<MemoKey>,
+    by_db: HashMap<CDatabase, HashMap<MemoSlot, MemoEntry>>,
+    /// Right-hand database → the left databases holding a containment entry that
+    /// names it.
+    by_rhs: HashMap<CDatabase, HashSet<CDatabase>>,
+    /// Entries stored, across every database.
+    len: usize,
+    /// The clock hand's queue, present only when the memo is bounded.
+    clock: Option<Clock>,
     evictions: u64,
     pins: u32,
 }
 
-/// A decision-memo key.  Every component is held *structurally* — the request instance
-/// and the optional right-hand database included — so two different questions can never
-/// collide into one entry (the same "distinct keys can never collide" rule the
-/// base-store cache follows); hashing is still one fingerprint word per database plus
-/// the instance walk.
+/// The second-chance queue of a bounded memo: keys in insertion/second-chance order,
+/// each stamped with the entry it was queued for.  Retirement does not sweep it, so it
+/// may hold stale keys (their entry is gone, or was re-inserted under a newer stamp);
+/// the eviction loop skips them, and [`MemoTable::retire`] compacts the queue when the
+/// stale keys outnumber the live entries, which keeps the compaction cost amortized.
+#[derive(Debug, Default)]
+struct Clock {
+    hand: VecDeque<(CDatabase, MemoSlot, u64)>,
+    next_stamp: u64,
+}
+
+/// The part of a decision-memo key below its (group) database.  Every component is
+/// held *structurally* — the request instance and the optional right-hand database
+/// included — so two different questions can never collide into one entry (the same
+/// "distinct keys can never collide" rule the base-store cache follows); hashing is
+/// still one fingerprint word per database plus the instance walk.
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
-struct MemoKey {
+struct MemoSlot {
     op: MemoOp,
-    /// The (group) database the primitive is asked of.
-    db: CDatabase,
     /// The request's slice of the instance (empty for [`MemoOp::Containment`]).
     request: Instance,
     /// The right-hand group database of a [`MemoOp::Containment`] question.
     rhs: Option<CDatabase>,
+}
+
+impl MemoSlot {
+    /// The slot of the containment question "is this group's representation
+    /// contained in `rhs`'s?" — the only slot that names a right-hand database.
+    fn containment(rhs: CDatabase) -> Self {
+        MemoSlot {
+            op: MemoOp::Containment,
+            request: Instance::new(),
+            rhs: Some(rhs),
+        }
+    }
+}
+
+impl MemoTable {
+    /// An empty memo, with a clock iff it is bounded.
+    fn new(bounded: bool) -> Self {
+        MemoTable {
+            clock: bounded.then(Clock::default),
+            ..MemoTable::default()
+        }
+    }
+
+    fn get_mut(&mut self, db: &CDatabase, slot: &MemoSlot) -> Option<&mut MemoEntry> {
+        self.by_db.get_mut(db)?.get_mut(slot)
+    }
+
+    /// Store a new entry (the key must be absent), indexing it by its right-hand
+    /// database and queueing it on the clock.
+    fn insert(&mut self, db: &CDatabase, slot: MemoSlot, mut entry: MemoEntry) {
+        if let Some(clock) = &mut self.clock {
+            entry.stamp = clock.next_stamp;
+            clock.next_stamp += 1;
+            clock
+                .hand
+                .push_back((db.clone(), slot.clone(), entry.stamp));
+        }
+        if let Some(rhs) = &slot.rhs {
+            self.by_rhs
+                .entry(rhs.clone())
+                .or_default()
+                .insert(db.clone());
+        }
+        self.by_db
+            .entry(db.clone())
+            .or_default()
+            .insert(slot, entry);
+        self.len += 1;
+    }
+
+    /// Remove one entry (eviction); its clock position goes stale.
+    fn remove(&mut self, db: &CDatabase, slot: &MemoSlot) {
+        let Some(slots) = self.by_db.get_mut(db) else {
+            return;
+        };
+        if slots.remove(slot).is_none() {
+            return;
+        }
+        self.len -= 1;
+        if slots.is_empty() {
+            self.by_db.remove(db);
+        }
+        if let Some(rhs) = &slot.rhs {
+            self.unindex(rhs, db);
+        }
+    }
+
+    /// Forget that `left` holds a containment entry naming `rhs`.
+    fn unindex(&mut self, rhs: &CDatabase, left: &CDatabase) {
+        if let Some(lefts) = self.by_rhs.get_mut(rhs) {
+            lefts.remove(left);
+            if lefts.is_empty() {
+                self.by_rhs.remove(rhs);
+            }
+        }
+    }
+
+    /// Drop every entry keyed by `db`, on either side, and return how many entries
+    /// were visited (each one is dropped).
+    fn retire(&mut self, db: &CDatabase) -> usize {
+        let mut visited = 0;
+        if let Some(own) = self.by_db.remove(db) {
+            visited += own.len();
+            self.len -= own.len();
+            for rhs in own.keys().filter_map(|slot| slot.rhs.as_ref()) {
+                self.unindex(rhs, db);
+            }
+        }
+        if let Some(lefts) = self.by_rhs.remove(db) {
+            let slot = MemoSlot::containment(db.clone());
+            for left in lefts {
+                visited += 1;
+                if let Some(slots) = self.by_db.get_mut(&left) {
+                    if slots.remove(&slot).is_some() {
+                        self.len -= 1;
+                    }
+                    if slots.is_empty() {
+                        self.by_db.remove(&left);
+                    }
+                }
+            }
+        }
+        let MemoTable {
+            by_db, clock, len, ..
+        } = self;
+        if let Some(clock) = clock {
+            if clock.hand.len() > 2 * *len {
+                clock.hand.retain(|(db, slot, stamp)| {
+                    by_db
+                        .get(db)
+                        .and_then(|slots| slots.get(slot))
+                        .is_some_and(|entry| entry.stamp == *stamp)
+                });
+            }
+        }
+        visited
+    }
+
+    /// The second-chance sweep down to `cap` entries (see [`MemoTable`]).
+    fn evict_to(&mut self, cap: usize) {
+        let Some(mut clock) = self.clock.take() else {
+            return;
+        };
+        // After one full lap every stale key is gone and every survivor's referenced
+        // bit is cleared, so the hand finds an eviction victim within 2·len steps —
+        // the loop is bounded.
+        let mut steps = clock.hand.len().saturating_mul(2);
+        while self.len > cap && steps > 0 {
+            steps -= 1;
+            let Some((db, slot, stamp)) = clock.hand.pop_front() else {
+                break;
+            };
+            match self.get_mut(&db, &slot) {
+                Some(entry) if entry.stamp == stamp => {
+                    if entry.referenced {
+                        entry.referenced = false;
+                        clock.hand.push_back((db, slot, stamp));
+                    } else {
+                        self.remove(&db, &slot);
+                        self.evictions += 1;
+                    }
+                }
+                // Stale hand position: the entry was retired with its database.
+                _ => {}
+            }
+        }
+        self.clock = Some(clock);
+    }
 }
 
 /// A memoized per-group verdict, with the evidence a certified decide extracted for it.
@@ -1111,6 +1288,8 @@ struct MemoEntry {
     certificate: Option<Certificate>,
     /// Second-chance bit: set on every memo hit, cleared when the clock hand passes.
     referenced: bool,
+    /// The entry's clock position (see [`Clock`]); 0 in an unbounded memo.
+    stamp: u64,
 }
 
 /// The per-group decision primitives the engine memoizes.  Each is a deterministic
@@ -1151,15 +1330,26 @@ pub struct MemoStats {
 impl Engine {
     /// An engine with the given configuration and empty caches.
     pub fn new(cfg: EngineConfig) -> Self {
+        let bounded = memo_capacity(&cfg).is_some();
         Engine {
             cfg,
             sat_cache: SatCache::new(),
             base_stores: Mutex::new(HashMap::new()),
-            decision_memo: Mutex::new(MemoTable::default()),
+            decision_memo: Mutex::new(MemoTable::new(bounded)),
             memo_hits: AtomicU64::new(0),
             memo_misses: AtomicU64::new(0),
             stats: EngineStatsCounters::default(),
+            deadline_at: None,
         }
+    }
+
+    /// Make every search of this engine stop at the absolute instant `at` (if any), or
+    /// earlier under its configured deadline.  Crate-internal: the searches nested in
+    /// one request (the per-world membership searches of the Π₂ᵖ containment) share the
+    /// request's deadline through it.
+    pub(crate) fn with_deadline_at(mut self, at: Option<Instant>) -> Self {
+        self.deadline_at = at;
+        self
     }
 
     /// A snapshot of the work-stealing scheduler's counters, accumulated across every
@@ -1197,15 +1387,20 @@ impl Engine {
         evidence: bool,
         compute: impl FnOnce() -> Result<(bool, Option<Certificate>), DecisionError>,
     ) -> Result<(bool, Option<Certificate>), DecisionError> {
-        let key = MemoKey {
-            op,
-            db: db.clone(),
-            request: request.clone(),
-            rhs: rhs.cloned(),
+        let slot = match rhs {
+            Some(rhs) => {
+                debug_assert!(op == MemoOp::Containment && request.relation_count() == 0);
+                MemoSlot::containment(rhs.clone())
+            }
+            None => MemoSlot {
+                op,
+                request: request.clone(),
+                rhs: None,
+            },
         };
         {
             let mut memo = lock_unpoisoned(&self.decision_memo);
-            if let Some(entry) = memo.entries.get_mut(&key) {
+            if let Some(entry) = memo.get_mut(db, &slot) {
                 if !evidence || entry.certificate.is_some() {
                     entry.referenced = true;
                     self.memo_hits.fetch_add(1, Ordering::Relaxed);
@@ -1223,62 +1418,38 @@ impl Engine {
             .unwrap_or_else(|p| Err(DecisionError::WorkerPanicked(panic_message(p.as_ref()))))?;
         self.memo_misses.fetch_add(1, Ordering::Relaxed);
         let mut memo = lock_unpoisoned(&self.decision_memo);
-        let fresh = MemoEntry {
-            answer,
-            certificate: certificate.clone(),
-            referenced: false,
-        };
-        match memo.entries.get_mut(&key) {
-            Some(entry) if evidence => *entry = fresh,
+        match memo.get_mut(db, &slot) {
+            // Upgrade in place: same clock position.
+            Some(entry) if evidence => {
+                entry.answer = answer;
+                entry.certificate = certificate.clone();
+                entry.referenced = false;
+            }
             Some(_) => {}
             None => {
-                memo.entries.insert(key.clone(), fresh);
-                memo.clock.push_back(key);
+                let fresh = MemoEntry {
+                    answer,
+                    certificate: certificate.clone(),
+                    referenced: false,
+                    stamp: 0,
+                };
+                memo.insert(db, slot, fresh);
                 self.enforce_memo_capacity(&mut memo);
             }
         }
         Ok((answer, certificate))
     }
 
-    /// The capacity the memo is held to right now: the configured bound, or 1 under an
-    /// injected eviction storm ([`FaultPlan::eviction_storm`]).
-    fn effective_memo_capacity(&self) -> Option<usize> {
-        if self.cfg.faults.as_ref().is_some_and(|f| f.eviction_storm) {
-            return Some(1);
-        }
-        self.cfg.memo_capacity.map(|c| c.max(1))
-    }
-
     /// The second-chance sweep (see [`MemoTable`]).  No-op while the memo is pinned or
     /// unbounded.
     fn enforce_memo_capacity(&self, memo: &mut MemoTable) {
-        let Some(cap) = self.effective_memo_capacity() else {
+        let Some(cap) = memo_capacity(&self.cfg) else {
             return;
         };
         if memo.pins > 0 {
             return;
         }
-        // After one full lap every survivor's referenced bit is cleared, so the hand
-        // finds an eviction victim within 2·len steps — the loop is bounded.
-        let mut steps = memo.clock.len().saturating_mul(2);
-        while memo.entries.len() > cap && steps > 0 {
-            steps -= 1;
-            let Some(key) = memo.clock.pop_front() else {
-                break;
-            };
-            match memo.entries.get_mut(&key) {
-                // Stale hand position: the entry was retired with its database.
-                None => continue,
-                Some(entry) if entry.referenced => {
-                    entry.referenced = false;
-                    memo.clock.push_back(key);
-                }
-                Some(_) => {
-                    memo.entries.remove(&key);
-                    memo.evictions += 1;
-                }
-            }
-        }
+        memo.evict_to(cap);
     }
 
     /// Pin the decision memo: nothing evicts while any pin is alive.  Held by the
@@ -1296,50 +1467,91 @@ impl Engine {
         MemoStats {
             hits: self.memo_hits.load(Ordering::Relaxed),
             misses: self.memo_misses.load(Ordering::Relaxed),
-            entries: memo.entries.len(),
+            entries: memo.len,
             evictions: memo.evictions,
         }
     }
 
     /// Drop every cache entry keyed by `db` — the base store and all memoized
-    /// verdicts.  A long-lived engine serving a mutating database calls this (via
-    /// `batch`'s re-decision front door) for the previous database value and for the
-    /// dissolved shard groups after a delta, so retired versions do not accumulate.
-    pub fn retire_database(&self, db: &CDatabase) {
+    /// verdicts, including the containment verdicts that name `db` on the right — and
+    /// return how many memo entries were visited (each one is dropped).  Retirement is
+    /// *by value*: it drops the entries of every database equal to `db`.
+    ///
+    /// A long-lived engine serving a mutating database calls this (via `batch`'s
+    /// delta step) for the previous database value and for the shard groups the delta
+    /// dissolved, so retired versions do not accumulate.  The cost is one probe of the
+    /// base-store map and of each memo level plus the entries dropped; a database that
+    /// owns no entry costs the probes alone, whatever the size of the memo.
+    pub fn retire_database(&self, db: &CDatabase) -> usize {
         lock_unpoisoned(&self.base_stores).remove(db);
-        let mut memo = lock_unpoisoned(&self.decision_memo);
-        memo.entries
-            .retain(|key, _| key.db != *db && key.rhs.as_ref() != Some(db));
-        let MemoTable { entries, clock, .. } = &mut *memo;
-        clock.retain(|key| entries.contains_key(key));
+        lock_unpoisoned(&self.decision_memo).retire(db)
     }
 
-    /// Purge the hash-consed condition-satisfiability entries that belonged to
-    /// `retired` and are **not** shared with `live`.  The complement of
+    /// Purge the hash-consed condition-satisfiability entries that the delta `change`
+    /// (from `retired` to `live`) removed from the database, and return how many
+    /// candidate conditions were checked.  The complement of
     /// [`Engine::retire_database`] for the [`SatCache`]: conditions are shared across
     /// database versions (most rows survive a small delta), so a retire must be
     /// keep-aware — dropping everything `retired` ever interned would also purge the
     /// live database's entries.  Called by the `batch::Session` delta step (behind
     /// `redecide_all` and `push_delta`) when a delta replaces the database value.
-    pub fn retire_conditions(&self, retired: &CDatabase, live: &CDatabase) {
-        fn conditions(db: &CDatabase) -> HashSet<Conjunction> {
-            let mut set = HashSet::new();
-            for table in db.tables() {
-                set.insert(table.global_condition().clone());
-                for row in table.tuples() {
-                    set.insert(row.condition.clone());
-                }
-            }
-            set
+    ///
+    /// The purged set equals the whole-database difference — the conditions `retired`
+    /// holds and `live` does not — computed from the change alone:
+    ///
+    /// * The candidates are the conditions of the **old** versions of
+    ///   `change.changed_tables`.  Every other table of `retired` is also a table of
+    ///   `live`, so its conditions stay live.
+    /// * A candidate held by a table of one of `live`'s dirty groups stays live.
+    /// * A candidate that names a variable cannot live anywhere else.  The variable
+    ///   belonged to the old group of its changed table, which the delta dissolved,
+    ///   and every group `live` carried over untouched is variable-disjoint from it.
+    /// * A variable-free candidate can repeat in an untouched group, so one that no
+    ///   dirty group holds is checked against the whole of `live` — the one step that
+    ///   is not proportional to the change, and only for such candidates.
+    ///
+    /// The dead conditions then leave the cache one probe each ([`SatCache::forget`]).
+    pub fn retire_conditions(
+        &self,
+        retired: &CDatabase,
+        live: &CDatabase,
+        change: &DbDelta,
+    ) -> usize {
+        fn conditions(table: &CTable) -> impl Iterator<Item = &Conjunction> {
+            std::iter::once(table.global_condition())
+                .chain(table.tuples().iter().map(|row| &row.condition))
         }
-        let mut dead = conditions(retired);
-        for cond in conditions(live) {
-            dead.remove(&cond);
+        let candidates: HashSet<&Conjunction> = change
+            .changed_tables
+            .iter()
+            .flat_map(|&p| conditions(&retired.tables()[p]))
+            .collect();
+        if candidates.is_empty() {
+            return 0;
         }
-        if dead.is_empty() {
-            return;
-        }
-        self.sat_cache.retain(|cond| !dead.contains(cond));
+        let groups = live.shard_groups();
+        let kept: HashSet<&Conjunction> = change
+            .dirty_groups
+            .iter()
+            .flat_map(|&g| groups[g].database().tables())
+            .flat_map(conditions)
+            .collect();
+        let dead: Vec<&Conjunction> = candidates
+            .iter()
+            .copied()
+            .filter(|cond| !kept.contains(cond))
+            .filter(|cond| {
+                let names_a_variable = cond.atoms().iter().any(|a| a.variables().next().is_some());
+                names_a_variable
+                    || !live
+                        .tables()
+                        .iter()
+                        .flat_map(conditions)
+                        .any(|c| c == *cond)
+            })
+            .collect();
+        self.sat_cache.forget(dead);
+        candidates.len()
     }
 
     /// Replace the per-request budget.  Crate-internal: the retry front door
@@ -1362,7 +1574,20 @@ impl Engine {
     /// A fresh search context for one request: the configured budget plus the
     /// slow-path limits, with the deadline resolved to an absolute instant *now*.
     pub(crate) fn ctx(&self) -> Ctx {
-        Ctx::new(self.cfg.budget).with_limits(self.cfg.limits())
+        let mut limits = self.cfg.limits();
+        limits.deadline = self.deadline_from_now();
+        Ctx::new(self.cfg.budget).with_limits(limits)
+    }
+
+    /// The deadline of a search starting *now*: the configured per-search deadline
+    /// resolved to an instant, or the shared one ([`Engine::with_deadline_at`]),
+    /// whichever comes first.
+    pub(crate) fn deadline_from_now(&self) -> Option<Instant> {
+        let own = self.cfg.deadline.map(|d| Instant::now() + d);
+        match (own, self.deadline_at) {
+            (Some(own), Some(shared)) => Some(own.min(shared)),
+            (own, shared) => own.or(shared),
+        }
     }
 
     /// The configuration the engine was built with.
@@ -1855,6 +2080,15 @@ impl Engine {
             None
         })
     }
+}
+
+/// The capacity a memo under `cfg` is held to: the configured bound, or 1 under an
+/// injected eviction storm ([`FaultPlan::eviction_storm`]).  `None` is unbounded.
+fn memo_capacity(cfg: &EngineConfig) -> Option<usize> {
+    if cfg.faults.as_ref().is_some_and(|f| f.eviction_storm) {
+        return Some(1);
+    }
+    cfg.memo_capacity.map(|c| c.max(1))
 }
 
 /// RAII guard of [`Engine::pin_memo`]: decision-memo eviction is disabled until every
@@ -2641,7 +2875,7 @@ where
 pub(crate) mod tests {
     use super::*;
     use pw_condition::VarGen;
-    use pw_core::CTuple;
+    use pw_core::{CTuple, Delta};
     use pw_relational::{rel, tup};
 
     /// The thread counts every engine-level unit test runs at: sequential, 2 and 8.
@@ -2811,6 +3045,189 @@ pub(crate) mod tests {
                 );
             }
         }
+    }
+
+    /// Every condition a database holds: each table's global and row conditions.
+    fn all_conditions(db: &CDatabase) -> HashSet<Conjunction> {
+        db.tables()
+            .iter()
+            .flat_map(|t| {
+                std::iter::once(t.global_condition().clone())
+                    .chain(t.tuples().iter().map(|row| row.condition.clone()))
+            })
+            .collect()
+    }
+
+    /// The change-scoped purge of [`Engine::retire_conditions`] removes exactly the
+    /// conditions a whole-database diff would: over random single-relation deltas,
+    /// merges of two groups, and a variable-free condition held by rows of two groups
+    /// at once (retracting one holder must keep it; retracting both must purge it).
+    #[test]
+    fn retire_conditions_purges_exactly_the_whole_database_diff() {
+        use pw_workloads::{coupling_delta, mutation_stream, TableParams};
+        let shared = Conjunction::single(Atom::neq(Term::constant(1), 2));
+        let mut purged_shared = 0;
+        for seed in 0..4 {
+            let params = TableParams {
+                rows: 3,
+                arity: 2,
+                constants: 4,
+                null_density: 0.4,
+                seed,
+            };
+            let stream = mutation_stream(6, &params, 30);
+            let engine = Engine::default();
+            let mut db = stream.base;
+            for (step, stream_delta) in stream.deltas.into_iter().enumerate() {
+                let groups = db.shard_groups();
+                let first_table = |g: usize| db.tables()[groups[g].members()[0]].name().to_owned();
+                let delta = match step % 6 {
+                    // Merge the first and the last group.
+                    1 if groups.len() > 1 => coupling_delta(&db, 0, groups.len() - 1),
+                    // The variable-free condition lands in two groups at once.
+                    2 => {
+                        let row = |v| {
+                            CTuple::with_condition(
+                                [Term::constant(v), Term::constant(v)],
+                                shared.clone(),
+                            )
+                        };
+                        Delta::new()
+                            .insert(first_table(0), row(0))
+                            .insert(first_table(groups.len() - 1), row(1))
+                    }
+                    // Retract the youngest row of one of them (it may hold `shared`).
+                    4 | 5 => {
+                        let g = if step % 6 == 4 { 0 } else { groups.len() - 1 };
+                        let name = first_table(g);
+                        let len = db.table(&name).unwrap().len();
+                        if len < 2 {
+                            stream_delta
+                        } else {
+                            Delta::new().retract(name, len - 1)
+                        }
+                    }
+                    _ => stream_delta,
+                };
+                let Ok((next, change)) = db.apply(&delta) else {
+                    continue;
+                };
+                let before = all_conditions(&db);
+                let after = all_conditions(&next);
+                for cond in before.iter().chain(&after) {
+                    engine.sat_cache().is_satisfiable(cond);
+                }
+                let checked = engine.retire_conditions(&db, &next, &change);
+                let dead: HashSet<&Conjunction> = before.difference(&after).collect();
+                assert!(checked >= dead.len(), "seed {seed} step {step}");
+                for cond in before.iter().chain(&after) {
+                    assert_eq!(
+                        engine.sat_cache().contains(cond),
+                        !dead.contains(cond),
+                        "seed {seed} step {step}: {cond}"
+                    );
+                }
+                purged_shared += usize::from(dead.contains(&shared));
+                db = next;
+            }
+        }
+        assert!(
+            purged_shared > 0,
+            "some step retracted the last holder of the shared condition"
+        );
+    }
+
+    /// Retiring a database drops its own entries and the containment entries that
+    /// name it on the right — nothing else — and visits only those.
+    #[test]
+    fn retire_database_touches_only_the_retired_entries() {
+        let mut g = VarGen::new();
+        let db =
+            |name: &str, v| CDatabase::single(CTable::codd(name, 1, [vec![Term::Var(v)]]).unwrap());
+        let (a, b, c) = (db("A", g.fresh()), db("B", g.fresh()), db("C", g.fresh()));
+        let engine = Engine::default();
+        let empty = Instance::new();
+        let fact = Instance::single("A", rel![[1]]);
+        let store = |op, db: &CDatabase, request: &Instance, rhs: Option<&CDatabase>| {
+            engine
+                .memo_decide(op, db, request, rhs, false, || Ok((true, None)))
+                .unwrap();
+        };
+        store(MemoOp::Member, &a, &fact, None);
+        store(MemoOp::Containment, &a, &empty, Some(&b));
+        store(MemoOp::Containment, &c, &empty, Some(&b));
+        store(MemoOp::Containment, &b, &empty, Some(&c));
+        store(MemoOp::Member, &c, &empty, None);
+        assert_eq!(engine.memo_stats().entries, 5);
+        // B owns one entry and is named on the right by two.
+        assert_eq!(engine.retire_database(&b), 3);
+        assert_eq!(engine.memo_stats().entries, 2);
+        // Retirement is by value: an equal, separately built handle finds nothing left.
+        assert_eq!(
+            engine.retire_database(&b.tables().iter().cloned().collect()),
+            0
+        );
+        let hits = engine.memo_stats().hits;
+        store(MemoOp::Member, &a, &fact, None);
+        store(MemoOp::Member, &c, &empty, None);
+        assert_eq!(
+            engine.memo_stats().hits,
+            hits + 2,
+            "A's and C's own entries survive"
+        );
+        assert_eq!(engine.retire_database(&a), 1);
+        assert_eq!(engine.retire_database(&c), 1);
+        assert_eq!(engine.memo_stats().entries, 0);
+    }
+
+    /// A bounded memo's clock compacts the keys retirement left stale, and a key
+    /// retired and stored again gets one live clock position, not two.
+    #[test]
+    fn bounded_memo_clock_stays_proportional_to_the_live_entries() {
+        let mut g = VarGen::new();
+        let dbs: Vec<CDatabase> = (0..8)
+            .map(|i| {
+                CDatabase::single(
+                    CTable::codd(format!("R{i}"), 1, [vec![Term::Var(g.fresh())]]).unwrap(),
+                )
+            })
+            .collect();
+        let engine = Engine::new(EngineConfig::sequential(Budget(1000)).with_memo_capacity(4));
+        let empty = Instance::new();
+        let store = |db: &CDatabase| {
+            engine
+                .memo_decide(MemoOp::Member, db, &empty, None, false, || Ok((true, None)))
+                .unwrap();
+        };
+        for round in 0..3 {
+            for db in &dbs[..4] {
+                store(db);
+            }
+            for db in &dbs[..3] {
+                engine.retire_database(db);
+            }
+            let memo = lock_unpoisoned(&engine.decision_memo);
+            let hand = memo.clock.as_ref().unwrap().hand.len();
+            assert!(
+                hand <= 2 * memo.len.max(1),
+                "round {round}: {hand} clock keys for {} entries",
+                memo.len
+            );
+        }
+        for db in &dbs {
+            store(db);
+        }
+        let stats = engine.memo_stats();
+        assert_eq!(stats.entries, 4, "the bound holds");
+        assert!(
+            Engine::default()
+                .decision_memo
+                .lock()
+                .unwrap()
+                .clock
+                .is_none(),
+            "no clock when unbounded"
+        );
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod uniqueness;
 
 pub use batch::{
     decide_all, decide_all_with, redecide_all, DecisionOutcome, DecisionRequest, Redecision,
-    Session, StandingUpdate, VerdictFlip,
+    RetireWork, Session, StandingUpdate, VerdictFlip,
 };
 pub use common::{
     Budget, BudgetExceeded, CancelToken, Decision, DecisionError, FaultPlan, Strategy,

@@ -337,6 +337,54 @@ fn forall_exists_containment_honors_cancellation() {
 }
 
 #[test]
+fn forall_exists_containment_honors_the_deadline() {
+    // Π₂ᵖ with three unknowns in the left table.  Every canonical world that maps x, y
+    // and z into {1, …, 7} is the world {1, …, 7}, whose membership on the seven-hole
+    // pigeonhole i-table needs more than 1024 nodes — so under `Budget(1024)` each such
+    // world search stops in a few milliseconds (optimised; tens unoptimised), well
+    // within the deadline.  An exhausted world is unresolved, not a counterexample, and
+    // is never memoized, so the enumeration goes on through all ~340 of them: together
+    // many times the deadline.  Only a deadline resolved once for the whole request
+    // stops the enumeration in time.
+    let right = pigeonhole_itable(7).view;
+    let mut vars = VarGen::new();
+    let unknowns = [vars.fresh(), vars.fresh(), vars.fresh()];
+    let rows = (1..=7)
+        .map(|c| vec![Term::constant(c)])
+        .chain(unknowns.iter().map(|&v| vec![Term::Var(v)]));
+    let left = View::identity(CDatabase::single(CTable::codd("T", 1, rows).unwrap()));
+    assert_eq!(
+        containment::strategy(&left, &right),
+        Strategy::WorldEnumeration
+    );
+    let deadline = Duration::from_millis(150);
+    let cfg = EngineConfig::sequential(Budget(1024)).with_deadline(deadline);
+    for certified in [false, true] {
+        let start = Instant::now();
+        let decision = if certified {
+            let request = DecisionRequest::Containment {
+                left: left.clone(),
+                right: right.clone(),
+            };
+            decide_all_with(&[request], &cfg.clone().certified()).remove(0)
+        } else {
+            containment::decide_with(&left, &right, &Engine::new(cfg.clone()))
+        };
+        let elapsed = start.elapsed();
+        assert_eq!(
+            decision.answer,
+            Err(DecisionError::DeadlineExceeded),
+            "certified: {certified}"
+        );
+        assert!(
+            elapsed < deadline * 2,
+            "deadline-exceeded took {elapsed:?}, over 2x the {deadline:?} deadline \
+             (certified: {certified})"
+        );
+    }
+}
+
+#[test]
 fn retry_escalates_budget_and_matches_the_unconstrained_run() {
     let base = decoupled_db(17);
     let member = member_instance(&base, &params(17));

@@ -8,14 +8,16 @@
 //! * a delta that **couples two previously independent groups** merges them in the
 //!   incremental coupling graph and invalidates both memo entries;
 //! * the condition-satisfiability cache retains its entries across deltas (untouched
-//!   conditions are never re-solved).
+//!   conditions are never re-solved);
+//! * a delta's retirement is **exact**: it leaves no entry of a dissolved group behind,
+//!   and drops no entry a carried-over group still replays.
 
 use possible_worlds::core::{CDatabase, Delta, View};
 use possible_worlds::decide::batch::{DecisionRequest, Session};
 use possible_worlds::decide::{Budget, EngineConfig};
 use possible_worlds::prelude::*;
 use possible_worlds::workloads::{
-    coupling_delta, decoupled_multirelation, member_instance, non_member_instance,
+    coupling_delta, decoupled_multirelation, member_instance, mutation_stream, non_member_instance,
     single_shard_delta, TableParams,
 };
 
@@ -304,4 +306,57 @@ fn a_session_retires_caches_of_dissolved_databases() {
         "memo entries stay bounded across a delta stream \
          ({entries_after_decide} after decide, {entries_after_stream} after 10 deltas)"
     );
+}
+
+/// After every `push_delta`, retiring (through the public `Engine::retire_database`)
+/// each old group the delta dissolved — found here by comparing the two group lists,
+/// the whole-database way — and the previous database value finds nothing left to
+/// drop, so the delta's own retirement missed nothing.  And the delta's re-decision
+/// misses the memo no more often than a session that saw only the previous version
+/// and retired nothing at all, so nothing a carried-over group replays was dropped.
+#[test]
+fn push_delta_retires_exactly_the_dissolved_entries() {
+    let params = params(29);
+    let stream = mutation_stream(4, &params, 10);
+    let member = member_instance(&stream.base, &params);
+    let non_member = non_member_instance(&stream.base, &params);
+    let cfg = EngineConfig::sequential(Budget(5_000_000));
+    let mut session = Session::sized(&cfg, 6);
+    session.register_standing(
+        &stream.base,
+        &requests_for(&stream.base, &member, &non_member),
+    );
+    let mut deltas = stream.deltas;
+    deltas.insert(4, coupling_delta(&stream.base, 1, 3));
+    for (step, delta) in deltas.iter().enumerate() {
+        let prev = session.standing_db().expect("bound").clone();
+        let misses_before = session.engine().memo_stats().misses;
+        let update = session.push_delta(delta).expect("stream deltas apply");
+        let misses = session.engine().memo_stats().misses - misses_before;
+
+        let engine = session.engine();
+        let entries = engine.memo_stats().entries;
+        for old in prev.shard_groups() {
+            let survives = update
+                .db
+                .shard_groups()
+                .iter()
+                .any(|new| new.database() == old.database());
+            if !survives {
+                assert_eq!(engine.retire_database(old.database()), 0, "step {step}");
+            }
+        }
+        assert_eq!(engine.retire_database(&prev), 0, "step {step}");
+        assert_eq!(engine.memo_stats().entries, entries, "step {step}");
+
+        let reference = Session::sized(&cfg, 6);
+        reference.decide_all(&requests_for(&prev, &member, &non_member));
+        let reference_before = reference.engine().memo_stats().misses;
+        reference.decide_all(&requests_for(&update.db, &member, &non_member));
+        let reference_misses = reference.engine().memo_stats().misses - reference_before;
+        assert!(
+            misses <= reference_misses,
+            "step {step}: {misses} misses after the delta, {reference_misses} needed"
+        );
+    }
 }

@@ -11,14 +11,17 @@
 //! * **Coupling merges widen the index** — a delta that merges two shard groups makes
 //!   a request localized to one group sensitive to deltas on the other, because group
 //!   ownership is resolved against the new coupling graph on every delta.
+//! * **Retirement is O(delta)** — the cache retirement of a delta checks the same
+//!   number of conditions and visits the same number of memo entries whether the
+//!   database holds 64 relations or 1024.
 
-use possible_worlds::core::{Delta, DeltaWindow};
-use possible_worlds::decide::batch::{DecisionRequest, Session};
+use possible_worlds::core::{Delta, DeltaOp, DeltaWindow};
+use possible_worlds::decide::batch::{DecisionRequest, RetireWork, Session};
 use possible_worlds::decide::EngineConfig;
 use possible_worlds::prelude::*;
 use possible_worlds::workloads::{
-    coupling_delta, flip_heavy_stream, member_instance, mutation_stream, non_member_instance,
-    single_shard_delta, StreamProblem, StreamWorkload, TableParams,
+    coupling_delta, flip_heavy_stream, flip_sparse_stream, member_instance, mutation_stream,
+    non_member_instance, single_shard_delta, StreamProblem, StreamWorkload, TableParams,
 };
 use proptest::prelude::*;
 
@@ -343,4 +346,58 @@ fn stream_families_flip_as_advertised() {
         flips += update.flips.len();
     }
     assert_eq!(flips, workload.flip_ops, "every flip op flips one verdict");
+}
+
+/// The work a delta's cache retirement does follows the delta, not the database: the
+/// same 32 flip-sparse deltas (on relations `S00`…`S63`, which every size below
+/// holds with the same shape) against databases of 64, 256 and 1024 relations check
+/// the same conditions and visit the same memo entries, delta by delta.  Counting
+/// work instead of timing it keeps the test independent of the host.
+#[test]
+fn delta_retirement_work_does_not_grow_with_the_relation_count() {
+    let seed = 3;
+    let deltas = flip_sparse_stream(64, 6, 32, seed).deltas;
+    let mut per_size: Vec<Vec<RetireWork>> = Vec::new();
+    for relations in [64, 256, 1024] {
+        let workload = flip_sparse_stream(relations, 6, 0, seed);
+        // A few standing requests: the three of each relation the first two deltas
+        // touch, so some deltas dissolve a group that owns memo entries.
+        let touched: Vec<usize> = deltas[..2]
+            .iter()
+            .map(|delta| {
+                let name = match &delta.ops()[0] {
+                    DeltaOp::Insert { table, .. }
+                    | DeltaOp::Retract { table, .. }
+                    | DeltaOp::Conjoin { table, .. } => table,
+                };
+                workload.base.table_position(name).unwrap()
+            })
+            .collect();
+        let requests: Vec<DecisionRequest> = bind_stream_requests(&workload, &workload.base)
+            .into_iter()
+            .enumerate()
+            .filter(|(i, _)| touched.contains(&(i / 3)))
+            .map(|(_, request)| request)
+            .collect();
+        let cfg = EngineConfig::sequential(small_budget());
+        let mut session = Session::sized(&cfg, requests.len());
+        session.register_standing(&workload.base, &requests);
+        let work: Vec<RetireWork> = deltas
+            .iter()
+            .map(|delta| {
+                session
+                    .push_delta(delta)
+                    .expect("stream delta applies")
+                    .retired
+            })
+            .collect();
+        assert!(
+            work.iter().any(|w| w.memo_entries_visited > 0),
+            "{relations} relations: some delta retires a group that owns memo entries"
+        );
+        assert!(work.iter().all(|w| w.conditions_checked <= 8));
+        per_size.push(work);
+    }
+    assert_eq!(per_size[0], per_size[1], "64 vs 256 relations");
+    assert_eq!(per_size[0], per_size[2], "64 vs 1024 relations");
 }
