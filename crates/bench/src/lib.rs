@@ -1,11 +1,11 @@
-//! # `pw-bench` — shared infrastructure for the benchmark harness
+//! # `pw-bench` — timing sweeps for the paper-reproduction binaries
 //!
 //! The paper's "evaluation" is a complexity classification (Fig. 2 and Theorems 3.1–5.3),
 //! so the harness measures how each decision procedure *scales* with the database size on
 //! two kinds of workload: the random (easy) families of `pw-workloads` for the PTIME cells
 //! and the reduction-generated (hard) families of `pw-reductions` for the NP / coNP / Π₂ᵖ
 //! cells.  This library provides the timing sweep and growth-classification helpers shared
-//! by the Criterion benches and the `fig2-matrix` / `experiments` binaries.
+//! by the `experiments`, `fig2-matrix` and `parallel-speedup` binaries.
 
 use std::time::{Duration, Instant};
 

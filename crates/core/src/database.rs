@@ -115,8 +115,7 @@ pub struct CDatabase {
 
 /// Below this shard count the boundary resolver scans table names directly instead of
 /// consulting the catalog — for tiny databases a short scan is cheaper than a name hash
-/// plus a lock acquisition (benchmarked in `bench-pr3`; the crossover is between 32 and
-/// 64 relations on current hardware).
+/// plus a lock acquisition (the crossover measured between 32 and 64 relations).
 const SMALL_SHARD_SCAN: usize = 32;
 
 impl Default for CDatabase {

@@ -29,9 +29,7 @@ pub mod tables;
 pub use decoupled::{coupled_multirelation, decoupled_multirelation};
 pub use formulas::{random_3cnf, random_3dnf, random_forall_exists};
 pub use graphs::{planted_three_colorable, random_graph};
-pub use mutations::{
-    coupling_delta, mutation_stream, single_shard_delta, stable_delta_stream, MutationStream,
-};
+pub use mutations::{coupling_delta, mutation_stream, single_shard_delta, MutationStream};
 pub use skewed::{coupled_heavy_membership, skewed_membership, skewed_possibility, SkewedParams};
 pub use streams::{
     flip_heavy_stream, flip_sparse_stream, StreamProblem, StreamRequest, StreamWorkload,

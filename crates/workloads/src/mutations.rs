@@ -73,61 +73,6 @@ pub fn mutation_stream(relations: usize, params: &TableParams, deltas: usize) ->
     MutationStream { base, deltas: out }
 }
 
-/// An *answer-stable* delta stream over chosen shard positions: every delta touches one
-/// relation drawn from `mutable`, and the ops are chosen so the standing decision
-/// answers of a serving workload do not flip mid-stream —
-///
-/// * inserts append a row of **fresh nulls** (coverable by any fact, so membership /
-///   possibility / certainty verdicts of the group survive);
-/// * retractions only remove rows the stream itself inserted earlier;
-/// * condition strengthenings conjoin an inert inequality on a fresh variable.
-///
-/// Each delta still changes the touched shard's fingerprint (dirtying exactly one
-/// group), which is the contract the incremental re-decision benchmark measures: the
-/// *work* moves, the *answers* stay comparable delta over delta.
-pub fn stable_delta_stream(
-    db: &CDatabase,
-    mutable: &[usize],
-    seed: u64,
-    deltas: usize,
-) -> Vec<Delta> {
-    let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(97).wrapping_add(13));
-    let mut vars = VarGen::new();
-    let base_rows: Vec<usize> = db.tables().iter().map(|t| t.len()).collect();
-    let mut inserted: Vec<usize> = vec![0; db.table_count()];
-    (0..deltas)
-        .map(|_| {
-            let pos = mutable[rng.gen_range(0..mutable.len())];
-            let table = db.tables()[pos].name().to_owned();
-            let arity = db.tables()[pos].arity();
-            let roll = rng.gen_range(0..10u32);
-            // A conjoin is only answer-stable on a row that is already uncertain (it
-            // mentions a null): strengthening a *ground* row's condition would make a
-            // previously certain fact retractable.  Target the first such row, and
-            // conjoin on one of the row's own variables so no new variable enters the
-            // shard (paths whose cost is exponential in the variable count — the Π₂ᵖ
-            // enumeration — are not inflated by the mutation itself).
-            let conjoin_target = db.tables()[pos]
-                .tuples()
-                .iter()
-                .take(base_rows[pos])
-                .enumerate()
-                .find_map(|(i, r)| r.term_variables().next().map(|v| (i, v)));
-            if roll < 4 || ((roll < 8 || inserted[pos] == 0) && conjoin_target.is_none()) {
-                let cells: Vec<Term> = (0..arity).map(|_| Term::Var(vars.fresh())).collect();
-                inserted[pos] += 1;
-                Delta::new().insert(table, CTuple::of_terms(cells))
-            } else if roll < 8 || inserted[pos] == 0 {
-                let (row, v) = conjoin_target.expect("checked above");
-                Delta::new().conjoin(table, row, Conjunction::single(Atom::neq(v, -1)))
-            } else {
-                inserted[pos] -= 1;
-                Delta::new().retract(table, base_rows[pos] + inserted[pos])
-            }
-        })
-        .collect()
-}
-
 /// A delta touching exactly the relation at `position`: strengthens row 0's condition
 /// with an inert inequality on a fresh variable.  Changes the shard's fingerprint (and
 /// dirties its group) without changing the represented worlds' facts.
@@ -190,25 +135,6 @@ mod tests {
         // streams are alpha-equivalent rather than identical.
         for (ta, tb) in db_a.tables().iter().zip(db_b.tables()) {
             assert!(ta.alpha_equivalent(tb), "same seed, same stream shape");
-        }
-    }
-
-    #[test]
-    fn stable_streams_touch_only_the_mutable_positions() {
-        let base = decoupled_multirelation(5, &params(7));
-        let mutable = [0usize, 2];
-        let deltas = stable_delta_stream(&base, &mutable, 42, 10);
-        assert_eq!(deltas.len(), 10);
-        let mut cur = base.clone();
-        for delta in &deltas {
-            let (next, change) = cur.apply(delta).expect("stable deltas apply in sequence");
-            assert_eq!(change.changed_tables.len(), 1);
-            assert!(mutable.contains(&change.changed_tables[0]));
-            cur = next;
-        }
-        // Positions 1, 3 and 4 were never touched.
-        for pos in [1usize, 3, 4] {
-            assert_eq!(cur.tables()[pos], base.tables()[pos]);
         }
     }
 

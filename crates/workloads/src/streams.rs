@@ -1,15 +1,14 @@
 //! Standing-query stream families: delta streams with *controlled verdict flips*, the
-//! workload behind the verdict-flip subscription benchmark (`bench-stream`).
+//! workload behind the repository benchmark's `delta-stream` (`perfbench/`).
 //!
 //! Each relation of the base database carries a ground **anchor** row whose fact is
 //! certain exactly while the row is present.  A *flip op* retracts the anchor (flipping
 //! the relation's standing certainty true→false) or re-inserts it (false→true); every
-//! other op is answer-stable in the sense of
-//! [`stable_delta_stream`](crate::mutations::stable_delta_stream) — fresh-null inserts,
-//! inert conjoins, retractions of stream-inserted rows — and *stationary*: a relation
-//! holds at most two stream-inserted rows, and conjoins land only on stream-inserted
-//! rows (retraction sheds the accumulated condition), so per-delta cost does not grow
-//! down the stream.  The generator tracks a virtual row model across the stream, so
+//! other op is *answer-stable* — fresh-null inserts, inert conjoins, retractions of
+//! stream-inserted rows, none of which flips a standing verdict — and *stationary*: a
+//! relation holds at most two stream-inserted rows, and conjoins land only on
+//! stream-inserted rows (retraction sheds the accumulated condition), so per-delta
+//! cost does not grow down the stream.  The generator tracks a virtual row model across the stream, so
 //! every op addresses its row by the position it actually occupies when the delta
 //! applies.
 //!

@@ -20,7 +20,9 @@
 //!   stolen subtree is contained to `WorkerPanicked`;
 //! * the searches nested inside containment — the freeze path's membership and the
 //!   per-world membership of the Π₂ᵖ enumeration — stop on the caller's cancel token
-//!   too, certified or not.
+//!   too, certified or not;
+//! * armed limits that never fire (a far deadline, a live token, an ample memo bound)
+//!   change no answer, strategy or certificate.
 
 use possible_worlds::core::{CDatabase, View};
 use possible_worlds::decide::batch::{decide_all_with, DecisionRequest, Session};
@@ -586,6 +588,65 @@ fn eviction_storm_still_answers_correctly() {
     let stats = session.engine().memo_stats();
     assert!(stats.entries <= 1, "the storm clamps the memo to one entry");
     assert!(stats.evictions > 0);
+}
+
+/// `cfg` with every serving limit armed and none able to fire: a two-hour deadline, a
+/// live cancel token nobody cancels, and a memo bound far above any working set here.
+fn armed(cfg: &EngineConfig) -> EngineConfig {
+    cfg.clone()
+        .with_deadline(Duration::from_secs(7_200))
+        .with_cancel(Arc::new(CancelToken::new()))
+        .with_memo_capacity(1 << 20)
+}
+
+/// Limits that never fire are pure bookkeeping: an armed session decides all five
+/// problems — on a decoupled database, a c-table and a pigeonhole refutation long
+/// enough to cross the amortized limit check — exactly like a plain one, at 1 and 4
+/// threads, plain and certified, fresh and replayed from the memo.  Outcomes,
+/// strategies and certificates are identical, every certificate passes `pw_check`, and
+/// the bounded memo evicts nothing.
+#[test]
+fn armed_limits_that_never_fire_change_no_answer() {
+    let p = params(13);
+    let mut requests = Vec::new();
+    for db in [
+        decoupled_db(13),
+        CDatabase::single(possible_worlds::workloads::random_ctable("R", &p)),
+    ] {
+        let member = member_instance(&db, &p);
+        requests.extend(requests_for(&db, &member));
+    }
+    // Six holes: over 1024 search nodes, so the amortized limit check runs.
+    let pigeonhole = pigeonhole_itable(6);
+    requests.push(DecisionRequest::Membership {
+        view: pigeonhole.view,
+        instance: pigeonhole.instance,
+    });
+    for threads in [1, 4] {
+        let cfg = EngineConfig::with_threads(threads, Budget(5_000_000));
+        for certify in [false, true] {
+            let session = |cfg: &EngineConfig| {
+                if certify {
+                    Session::certifying(cfg, requests.len())
+                } else {
+                    Session::sized(cfg, requests.len())
+                }
+            };
+            let (plain, hardened) = (session(&cfg), session(&armed(&cfg)));
+            // The second pass replays every group from the memo.
+            for pass in 0..2 {
+                let stage = format!("{threads} threads, certify {certify}, pass {pass}");
+                let want = plain.decide_all(&requests);
+                let got = hardened.decide_all(&requests);
+                assert_eq!(got, want, "{stage}");
+                assert!(got.iter().all(|o| o.answer.is_ok()), "{stage}");
+                if certify {
+                    assert_certificates_accepted(&requests, &got, &stage);
+                }
+            }
+            assert_eq!(hardened.engine().memo_stats().evictions, 0);
+        }
+    }
 }
 
 proptest! {

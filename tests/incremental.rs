@@ -2,7 +2,8 @@
 //! the engine's per-group decision memo, and the batch session's `redecide_all` —
 //! exercised through the facade crate on the edge cases the subsystem must get right:
 //!
-//! * an **empty delta** replays every group from the memo (no new search work);
+//! * an **empty delta** replays every group from the memo (no new search work), and a
+//!   **one-group delta** misses the memo only on its dirty group;
 //! * **retracting the last row of a shard** leaves an empty shard whose group goes
 //!   dirty, and the re-decision still matches a from-scratch decide;
 //! * a delta that **couples two previously independent groups** merges them in the
@@ -104,6 +105,39 @@ fn empty_delta_replays_every_group_from_the_memo() {
         "an empty delta must not re-search any group"
     );
     assert!(stats_after.hits > stats_before.hits);
+
+    // A one-group delta: every new miss is the dirty group's — each stored one entry
+    // under it, which retiring that group counts — so every lookup of the three clean
+    // groups was a memo hit, and together they are all the lookups a fresh decide of
+    // the mutated database makes.  The delta inserts a ground row, so the database
+    // keeps its table class and every request its strategy: a delta that added a
+    // local condition would turn certainty and uniqueness from naive evaluation into
+    // per-group searches, whose first lookups miss on the clean groups too.
+    let delta = Delta::new().insert(
+        base.tables()[2].name().to_owned(),
+        possible_worlds::core::CTuple::of_terms([Term::constant(1), Term::constant(2)]),
+    );
+    let redecision = session
+        .redecide_all(&base, &delta, &requests_for(&base, &member, &non_member))
+        .expect("the insertion applies");
+    let stats_delta = session.engine().memo_stats();
+    let (hits, misses) = (
+        stats_delta.hits - stats_after.hits,
+        stats_delta.misses - stats_after.misses,
+    );
+    assert_eq!(redecision.change.dirty_groups, vec![2]);
+    let dirty = &redecision.db.shard_groups()[2];
+    assert!(misses > 0, "the dirty group is re-searched");
+    assert_eq!(
+        session.engine().retire_database(dirty.database()) as u64,
+        misses,
+        "only the dirty group misses the memo"
+    );
+    let fresh = Session::sized(&EngineConfig::sequential(Budget(5_000_000)), 6);
+    let fresh_outcomes = fresh.decide_all(&requests_for(&redecision.db, &member, &non_member));
+    let fresh_stats = fresh.engine().memo_stats();
+    assert_eq!(hits + misses, fresh_stats.hits + fresh_stats.misses);
+    assert_eq!(answers(&redecision.outcomes), answers(&fresh_outcomes));
 }
 
 #[test]

@@ -11,6 +11,8 @@
 //! * **Coupling merges widen the index** — a delta that merges two shard groups makes
 //!   a request localized to one group sensitive to deltas on the other, because group
 //!   ownership is resolved against the new coupling graph on every delta.
+//! * **Skipping is the win** — on the flip-sparse stream every delta re-decides
+//!   under a tenth of the standing set, counted per delta rather than timed.
 //! * **Retirement is O(delta)** — the cache retirement of a delta checks the same
 //!   number of conditions and visits the same number of memo entries whether the
 //!   database holds 64 relations or 1024.
@@ -346,6 +348,39 @@ fn stream_families_flip_as_advertised() {
         flips += update.flips.len();
     }
     assert_eq!(flips, workload.flip_ops, "every flip op flips one verdict");
+}
+
+/// The subscription index's win counted as work, not time: on the flip-sparse stream
+/// over 64 relations, with all 192 of its requests standing, every delta re-decides
+/// under a tenth of the standing set (the three requests of the relation it touches)
+/// and skips the rest, and the standing verdicts still equal a fresh decide of the
+/// final database.
+#[test]
+fn flip_sparse_push_redecides_under_a_tenth_of_the_standing_set() {
+    let workload = flip_sparse_stream(64, 6, 64, 1);
+    let cfg = EngineConfig::sequential(small_budget());
+    let requests = bind_stream_requests(&workload, &workload.base);
+    assert_eq!(requests.len(), 192);
+    let mut session = Session::sized(&cfg, requests.len());
+    let (ids, _) = session.register_standing(&workload.base, &requests);
+    for (step, delta) in workload.deltas.iter().enumerate() {
+        let update = session.push_delta(delta).expect("stream delta applies");
+        assert_eq!(update.redecided + update.skipped, 192, "delta #{step}");
+        assert!(
+            update.redecided * 10 <= 192,
+            "delta #{step} re-decided {} of 192 standing requests",
+            update.redecided
+        );
+    }
+    let last = session.standing_db().expect("bound");
+    let fresh = possible_worlds::decide::batch::decide_all_with(
+        &bind_stream_requests(&workload, last),
+        &cfg,
+    );
+    for (i, (id, want)) in ids.iter().zip(&fresh).enumerate() {
+        let standing = session.standing_outcome(*id).expect("registered id");
+        assert_eq!(standing.answer, want.answer, "standing request {i}");
+    }
 }
 
 /// The work a delta's cache retirement does follows the delta, not the database: the
