@@ -106,26 +106,26 @@ impl DecisionRequest {
     fn decide(&self, engine: &Engine) -> Decision {
         match self {
             DecisionRequest::Membership { view, instance } => {
-                membership::view_membership_certified(view, instance, engine)
+                membership::view_membership_with(view, instance, engine)
             }
             DecisionRequest::Uniqueness { view, instance } => {
-                uniqueness::decide_certified(view, instance, engine)
+                uniqueness::decide_with(view, instance, engine)
             }
             DecisionRequest::Containment { left, right } => {
-                containment::decide_certified(left, right, engine)
+                containment::decide_with(left, right, engine)
             }
             DecisionRequest::Possibility { view, facts } => {
-                possibility::decide_certified(view, facts, engine)
+                possibility::decide_with(view, facts, engine)
             }
             DecisionRequest::Certainty { view, facts } => {
-                certainty::decide_certified(view, facts, engine)
+                certainty::decide_with(view, facts, engine)
             }
         }
     }
 }
 
 /// The answer to one [`DecisionRequest`]: the same [`Decision`] struct every
-/// single-shot `decide_with`/`decide_certified` path returns.  The batched front door
+/// single-shot `decide_with` path returns.  The batched front door
 /// adds nothing on top — one shape flows from the per-problem deciders through the
 /// batch API to the wire layer.
 pub type DecisionOutcome = Decision;

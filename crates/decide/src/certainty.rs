@@ -13,14 +13,14 @@
 //! `CERT(*, q)` is answered by iterating `CERT(1, q)` over the facts — the polynomial-time
 //! equivalence of Proposition 2.1(6).
 
-use crate::certify;
+use crate::certify::{self, Evidence};
 use crate::common::{
     evaluation_delta, freeze_database, normalize_database, Budget, Decision, DecisionError,
     Strategy,
 };
-use crate::engine::{Engine, EngineConfig, MemoOp};
+use crate::engine::{Engine, EngineConfig};
 use pw_core::algebra::AlgebraError;
-use pw_core::{CDatabase, Certificate, TableClass, View};
+use pw_core::{CDatabase, Certificate, TableClass, Valuation, View};
 use pw_query::QueryClass;
 use pw_relational::Instance;
 
@@ -39,236 +39,66 @@ pub fn decide(view: &View, facts: &Instance, budget: Budget) -> Result<bool, Dec
 /// Returns a [`Decision`] carrying the answer next to the [`Strategy`] that produced
 /// (or attempted) it, so the strategy survives a budget-exceeded search; the dispatch
 /// (and the view→c-table conversion behind it) runs exactly once per call.
+///
+/// On a certifying engine ([`EngineConfig::certify`](crate::EngineConfig::certify)) a
+/// *yes* carries [`Certificate::CertainByFreeze`] (the checker replays the polynomial
+/// naive evaluation), [`Certificate::EmptyRep`], or rests on
+/// [`Certificate::Exhaustive`]; a *no* carries a [`Certificate::CounterWorld`] — a
+/// valuation whose world misses one of the facts, read off the complement search that
+/// decided.
 pub fn decide_with(view: &View, facts: &Instance, engine: &Engine) -> Decision {
     let (strategy, converted) = plan(view, engine.config().per_shard);
-    let answer = match strategy {
+    let decided = match strategy {
         Strategy::NaiveEvaluation => {
-            Ok(naive_gtable(view, facts).expect("strategy selection guarantees applicability"))
+            let answer =
+                naive_gtable(view, facts).expect("strategy selection guarantees applicability");
+            Ok((answer, None))
         }
-        Strategy::PerShard { .. } => {
+        Strategy::PerShard { .. } | Strategy::Backtracking => {
+            let per_shard = matches!(strategy, Strategy::PerShard { .. });
             match converted.expect("planned strategies carry their conversion") {
-                Ok(db) => complement_search_per_shard(&db, facts, engine),
-                Err(_) => Ok(false),
-            }
-        }
-        Strategy::Backtracking => {
-            match converted.expect("planned strategies carry their conversion") {
-                Ok(db) => complement_search_with(&db, facts, engine),
-                Err(_) => Ok(false),
+                Ok(db) => complement(&db, facts, engine, per_shard),
+                Err(_) => Ok((false, None)),
             }
         }
         _ => by_enumeration_with(view, facts, engine),
     };
-    Decision::of(answer, strategy)
-}
-
-/// [`decide_with`] plus certificate extraction: a *yes* carries
-/// [`Certificate::CertainByFreeze`] (the checker replays the polynomial naive
-/// evaluation), [`Certificate::EmptyRep`], or rests on [`Certificate::Exhaustive`]; a
-/// *no* carries a [`Certificate::CounterWorld`] — a valuation whose world misses one of
-/// the facts.
-pub(crate) fn decide_certified(view: &View, facts: &Instance, engine: &Engine) -> Decision {
-    if !engine.config().certify {
-        return decide_with(view, facts, engine);
-    }
-    let (strategy, converted) = plan(view, engine.config().per_shard);
-    match strategy {
-        Strategy::NaiveEvaluation => {
-            let answer =
-                naive_gtable(view, facts).expect("strategy selection guarantees applicability");
-            if answer {
-                Decision::certified(Ok(true), strategy, Some(Certificate::CertainByFreeze))
-            } else if !view.db.has_satisfiable_globals() {
-                // Unreachable with a `false` naive answer (the empty rep is vacuously
-                // certain) — defensive ordering only.
-                Decision::of(Ok(false), strategy)
-            } else {
-                // A naive `false` means some fact is non-ground or absent from the
-                // frozen world's answer; the freeze avoids the facts' active domain, so
-                // *any* completion at least as generic (fresh values everywhere) misses
-                // it too.  Verify locally before emitting; fall back to enumeration.
-                let avoid = certify::avoid_set(&view.db, facts);
-                let cert = certify::base_completion(engine, &view.db, &avoid)
-                    .map(certify::valuation)
-                    .filter(|v| {
-                        v.world_of(&view.db)
-                            .is_some_and(|w| !facts.is_subinstance_of(&view.query.eval(&w)))
-                    })
-                    .map(Certificate::counter_world)
-                    .or_else(|| enumeration_counter_world(view, facts, engine));
-                Decision::certified(Ok(false), strategy, cert)
-            }
-        }
-        Strategy::PerShard { .. } => {
-            match converted.expect("planned strategies carry their conversion") {
-                Ok(db) => certified_per_shard(view, &db, facts, engine, strategy),
-                Err(_) => Decision::of(Ok(false), strategy),
-            }
-        }
-        Strategy::Backtracking => {
-            match converted.expect("planned strategies carry their conversion") {
-                Ok(db) => {
-                    if !engine.has_satisfiable_globals(&db) {
-                        return Decision::certified(
-                            Ok(true),
-                            strategy,
-                            Some(empty_rep_or_exhaustive(view)),
-                        );
-                    }
-                    match engine.missing_any_ctx(&db, facts, &engine.ctx()) {
-                        Ok(verdict) => match certify::read_off(verdict, &db, facts) {
-                            (true, w) => Decision::certified(
-                                Ok(false),
-                                strategy,
-                                w.and_then(|w| counter_world(view, w, facts)),
-                            ),
-                            (false, _) => Decision::certified(
-                                Ok(true),
-                                strategy,
-                                Some(Certificate::Exhaustive),
-                            ),
-                        },
-                        Err(e) => Decision::of(Err(e), strategy),
-                    }
+    certify::decision(engine, strategy, decided, |answer, w| {
+        if answer && strategy == Strategy::NaiveEvaluation {
+            Some(Certificate::CertainByFreeze)
+        } else if answer {
+            Some(certify::no_world_cert(&view.db))
+        } else {
+            let w = match w {
+                // The search's binding ranges over the converted database: fill the view
+                // database's remaining variables (the c-table algebra guarantees
+                // `q(σ(view.db)) = σ(converted)` for every total σ).
+                Some(w) => {
+                    let avoid = certify::avoid_set(&view.db, facts);
+                    certify::valuation(certify::fill_unassigned(&view.db, w, &avoid))
                 }
-                Err(_) => Decision::of(Ok(false), strategy),
-            }
+                None => generic_counter_world(view, facts, engine)?,
+            };
+            Some(Certificate::counter_world(w))
         }
-        _ => {
-            if !view.db.has_satisfiable_globals() {
-                return Decision::certified(Ok(true), strategy, Some(Certificate::EmptyRep));
-            }
-            let vars: Vec<_> = view.db.variables().into_iter().collect();
-            let mut delta = evaluation_delta(&view.db, facts.active_domain());
-            delta.extend(view.query.constants());
-            let counterexample =
-                engine.find_canonical_valuation(view.db.symbols(), &vars, &delta, |valuation| {
-                    let world = valuation.world_of(&view.db)?;
-                    let output = view.query.eval(&world);
-                    (!facts.is_subinstance_of(&output)).then(|| valuation.clone())
-                });
-            match counterexample {
-                Ok(Some(v)) => {
-                    Decision::certified(Ok(false), strategy, Some(Certificate::counter_world(v)))
-                }
-                Ok(None) => Decision::certified(Ok(true), strategy, Some(Certificate::Exhaustive)),
-                Err(e) => Decision::of(Err(e), strategy),
-            }
-        }
-    }
+    })
 }
 
-/// Certified twin of [`complement_search_per_shard`] + the per-shard missing-fact
-/// disjunction: same memo keys (`MemoOp::MissingAny` per populated group), entries
-/// stored with their per-group certificates, and a group's counter-world stitched with
-/// the other groups' base completions into a valuation of the whole database.
-fn certified_per_shard(
-    view: &View,
-    db: &CDatabase,
-    facts: &Instance,
-    engine: &Engine,
-    strategy: Strategy,
-) -> Decision {
-    if db
-        .shard_groups()
-        .iter()
-        .any(|g| !engine.has_satisfiable_globals(g.database()))
-    {
-        return Decision::certified(Ok(true), strategy, Some(empty_rep_or_exhaustive(view)));
-    }
-    // Mirror of `missing_any_per_shard_ctx`: split the facts by owning group.
-    let group_of = db.shard_group_index();
-    let mut parts: Vec<Instance> = vec![Instance::new(); db.shard_groups().len()];
-    let mut any_fact = false;
-    for (name, rel) in facts.iter() {
-        if rel.is_empty() {
-            continue;
-        }
-        match db.table_position(name) {
-            Some(pos) if db.tables()[pos].arity() == rel.arity() => {
-                parts[group_of[pos]].insert_relation(name.clone(), rel.clone());
-                any_fact = true;
-            }
-            // No such relation: missing from every world — any world is a counter.
-            _ => {
-                let avoid = certify::avoid_set(&view.db, facts);
-                let cert = certify::base_completion(engine, &view.db, &avoid)
-                    .map(|w| Certificate::counter_world(certify::valuation(w)));
-                return Decision::certified(Ok(false), strategy, cert);
-            }
-        }
-    }
-    if !any_fact {
-        return Decision::certified(Ok(true), strategy, Some(Certificate::Exhaustive));
-    }
-    let ctx = engine.ctx();
-    for (g_idx, (group, part)) in db.shard_groups().iter().zip(&parts).enumerate() {
-        if part.relation_count() == 0 {
-            continue;
-        }
-        let gdb = group.database();
-        let outcome = engine.memo_decide(MemoOp::MissingAny, gdb, part, None, true, || {
-            let verdict = engine.missing_any_ctx(gdb, part, &ctx.fork())?;
-            Ok(certify::counter_or_exhaustive(verdict, gdb, part))
-        });
-        match outcome {
-            Ok((true, cert)) => {
-                let stitched = match cert {
-                    Some(Certificate::CounterWorld { valuation }) => {
-                        certify::stitch_counter_world(engine, db, g_idx, valuation.iter().collect())
-                            .and_then(|w| counter_world(view, w, facts))
-                    }
-                    _ => None,
-                };
-                return Decision::certified(Ok(false), strategy, stitched);
-            }
-            Ok((false, _)) => {}
-            Err(e) => return Decision::of(Err(e), strategy),
-        }
-    }
-    Decision::certified(Ok(true), strategy, Some(Certificate::Exhaustive))
-}
-
-/// Package a binding over the converted database as a counter-world of the *view*: fill
-/// the view database's remaining variables with fresh constants (the c-table algebra
-/// guarantees `q(σ(view.db)) = σ(converted)` for every total σ).
-fn counter_world(view: &View, w: certify::Binding, facts: &Instance) -> Option<Certificate> {
-    let avoid = certify::avoid_set(&view.db, facts);
-    Some(Certificate::counter_world(certify::valuation(
-        certify::fill_unassigned(&view.db, w, &avoid),
-    )))
-}
-
-/// The vacuous-certainty certificate: [`Certificate::EmptyRep`] when the view database
-/// itself shows it (the checker re-derives that), [`Certificate::Exhaustive`] in the
-/// degenerate case where only the converted database's globals are unsatisfiable.
-fn empty_rep_or_exhaustive(view: &View) -> Certificate {
-    if view.db.has_satisfiable_globals() {
-        Certificate::Exhaustive
-    } else {
-        Certificate::EmptyRep
-    }
-}
-
-/// A counter-world by canonical-valuation enumeration — the belt-and-braces fallback
-/// when a polynomial path's implicit counter-example is not directly expressible.
-fn enumeration_counter_world(
-    view: &View,
-    facts: &Instance,
-    engine: &Engine,
-) -> Option<Certificate> {
-    let vars: Vec<_> = view.db.variables().into_iter().collect();
-    let mut delta = evaluation_delta(&view.db, facts.active_domain());
-    delta.extend(view.query.constants());
-    engine
-        .find_canonical_valuation(view.db.symbols(), &vars, &delta, |valuation| {
-            let world = valuation.world_of(&view.db)?;
-            let output = view.query.eval(&world);
-            (!facts.is_subinstance_of(&output)).then(|| valuation.clone())
-        })
-        .ok()
-        .flatten()
-        .map(Certificate::counter_world)
+/// The counter-world behind a *no* no search produced one for — naive evaluation's
+/// above all: some fact is non-ground or absent from the frozen world's answer, and
+/// the freeze avoids the facts' active domain, so *any* completion at least as generic
+/// (fresh values everywhere) misses it too.  Verified locally before it is used;
+/// canonical-valuation enumeration is the fallback.
+fn generic_counter_world(view: &View, facts: &Instance, engine: &Engine) -> Option<Valuation> {
+    certify::generic_world(engine, view, facts, |answer| {
+        !facts.is_subinstance_of(answer)
+    })
+    .or_else(|| {
+        by_enumeration_with(view, facts, engine)
+            .ok()?
+            .1
+            .map(certify::valuation)
+    })
 }
 
 /// The dispatch decision plus (when applicable) the one-time view→c-table conversion.
@@ -341,61 +171,56 @@ pub fn complement_search(
     facts: &Instance,
     budget: Budget,
 ) -> Result<bool, DecisionError> {
-    complement_search_with(db, facts, &Engine::new(EngineConfig::sequential(budget)))
+    let engine = Engine::new(EngineConfig::sequential(budget));
+    Ok(complement(db, facts, &engine, false)?.0)
 }
 
-/// [`complement_search`] on an explicit [`Engine`].
-pub fn complement_search_with(
+/// [`complement_search`] on an explicit [`Engine`], jointly or over the shard groups
+/// (`per_shard`): a fact can only be missing from a world of the group owning its
+/// relation, so the per-fact complement searches run against per-group base stores and
+/// the certainty conjunction is unchanged.  An empty representation makes every fact
+/// vacuously certain.  The evidence of a *no* is the counter-world the missing-fact
+/// search found.
+fn complement(
     db: &CDatabase,
     facts: &Instance,
     engine: &Engine,
-) -> Result<bool, DecisionError> {
-    if !engine.has_satisfiable_globals(db) {
-        return Ok(true); // no worlds: vacuously certain
+    per_shard: bool,
+) -> Result<Evidence, DecisionError> {
+    if !engine.has_worlds(db, per_shard) {
+        return Ok((true, None)); // no worlds: vacuously certain
     }
-    Ok(!engine.exists_world_missing_any_fact(db, facts)?)
+    let ctx = engine.ctx();
+    let (missing, w) = if per_shard {
+        engine.missing_any_per_shard_ctx(db, facts, &ctx)?
+    } else {
+        certify::read_off(engine.missing_any_ctx(db, facts, &ctx)?, db, facts)
+    };
+    Ok((!missing, w))
 }
 
-/// [`complement_search_with`] over the shard groups: the same per-fact complement
-/// forest, with each fact's subtree rooted in its group's base store instead of the
-/// joint one.  The representation is empty iff *some* group's globals are unsatisfiable
-/// (groups are variable-disjoint, so the joint conjunction factors), in which case every
-/// fact is vacuously certain — matching the joint path's empty-rep rule.
-pub fn complement_search_per_shard(
-    db: &CDatabase,
-    facts: &Instance,
-    engine: &Engine,
-) -> Result<bool, DecisionError> {
-    if db
-        .shard_groups()
-        .iter()
-        .any(|g| !engine.has_satisfiable_globals(g.database()))
-    {
-        return Ok(true); // no worlds: vacuously certain
-    }
-    Ok(!engine.exists_world_missing_any_fact_per_shard(db, facts)?)
-}
-
-/// [`by_enumeration`] on an explicit [`Engine`] (parallel canonical-valuation
-/// enumeration).
-pub fn by_enumeration_with(
+/// Canonical-valuation enumeration on an explicit [`Engine`] (parallel over the
+/// valuations): certain iff no valuation's world misses a fact — the first one that
+/// does is kept as the counter-world on a certifying engine.
+fn by_enumeration_with(
     view: &View,
     facts: &Instance,
     engine: &Engine,
-) -> Result<bool, DecisionError> {
+) -> Result<Evidence, DecisionError> {
     if !view.db.has_satisfiable_globals() {
-        return Ok(true);
+        return Ok((true, None));
     }
     let vars: Vec<_> = view.db.variables().into_iter().collect();
     let mut delta = evaluation_delta(&view.db, facts.active_domain());
     delta.extend(view.query.constants());
+    let certify = engine.config().certify;
     let counterexample =
         engine.find_canonical_valuation(view.db.symbols(), &vars, &delta, |valuation| {
             let world = valuation.world_of(&view.db)?;
             let output = view.query.eval(&world);
-            (!facts.is_subinstance_of(&output)).then_some(())
+            (!facts.is_subinstance_of(&output)).then(|| certify.then(|| valuation.iter().collect()))
         })?;
-    Ok(counterexample.is_none())
+    Ok((counterexample.is_none(), counterexample.flatten()))
 }
 
 /// Generic fallback: canonical-valuation enumeration — look for a world missing some fact.
@@ -404,7 +229,8 @@ pub fn by_enumeration(
     facts: &Instance,
     budget: Budget,
 ) -> Result<bool, DecisionError> {
-    by_enumeration_with(view, facts, &Engine::new(EngineConfig::sequential(budget)))
+    let engine = Engine::new(EngineConfig::sequential(budget));
+    Ok(by_enumeration_with(view, facts, &engine)?.0)
 }
 
 #[cfg(test)]

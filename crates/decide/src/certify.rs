@@ -20,17 +20,46 @@
 //! `(Variable, Sym)` pairs in the database's symbol context (the handle-threading
 //! rule), merged across shard groups by plain union — groups are variable-disjoint.
 
-use crate::common::DecisionError;
-use crate::engine::{intern_fact, Ctx, Engine, MemoOp, Verdict};
+use crate::common::{Decision, DecisionError, Strategy};
+use crate::engine::{intern_fact, Engine, Verdict};
 use crate::membership::{row_unifies_with_fact, schema_compatible};
 use pw_condition::{ConstraintSet, Term, Variable};
-use pw_core::{CDatabase, Certificate, Valuation};
+use pw_core::{CDatabase, Certificate, Valuation, View};
 use pw_relational::{Constant, Instance, Sym};
 use pw_solvers::matching::{maximum_matching, BipartiteGraph};
 use std::collections::BTreeSet;
 
 /// A total assignment of a database's variables, in that database's symbol context.
 pub(crate) type Binding = Vec<(Variable, Sym)>;
+
+/// What a search decided, with its evidence when the engine certifies: the binding
+/// under which the search's claim holds (a witness for a found covering or membership,
+/// a counter-world for a found missing fact or escaping row).  Always `None` on an
+/// uncertified engine.
+pub(crate) type Evidence = (bool, Option<Binding>);
+
+/// Assemble a problem's [`Decision`] from what its search decided and the evidence it
+/// kept (an [`Evidence`] binding, or containment's per-strategy certificate): on a
+/// certifying engine `certificate` turns the answer and that evidence into the
+/// certificate; otherwise it never runs, so an uncertified decide builds none.
+pub(crate) fn decision<E>(
+    engine: &Engine,
+    strategy: Strategy,
+    decided: Result<(bool, E), DecisionError>,
+    certificate: impl FnOnce(bool, E) -> Option<Certificate>,
+) -> Decision {
+    match decided {
+        Ok((answer, w)) => {
+            let certificate = engine
+                .config()
+                .certify
+                .then(|| certificate(answer, w))
+                .flatten();
+            Decision::certified(Ok(answer), strategy, certificate)
+        }
+        Err(e) => Decision::of(Err(e), strategy),
+    }
+}
 
 /// Turn a binding into the [`Valuation`] a certificate carries.
 pub(crate) fn valuation(pairs: Binding) -> Valuation {
@@ -75,20 +104,6 @@ pub(crate) fn read_off(
     (verdict.found, binding)
 }
 
-/// A per-group memo entry for a certified disjunction (missing fact, escaping row): a
-/// found counter-world of the group, or the exhaustive search as the evidence that the
-/// group has none.
-pub(crate) fn counter_or_exhaustive(
-    verdict: Verdict,
-    gdb: &CDatabase,
-    part: &Instance,
-) -> (bool, Option<Certificate>) {
-    match read_off(verdict, gdb, part) {
-        (true, w) => (true, w.map(|w| Certificate::counter_world(valuation(w)))),
-        (false, _) => (false, Some(Certificate::Exhaustive)),
-    }
-}
-
 /// A generic satisfying valuation of the database — any world of `rep(db)`, with every
 /// unforced variable frozen to a distinct fresh constant.  `None` iff the globals are
 /// unsatisfiable.
@@ -98,6 +113,26 @@ pub(crate) fn base_completion(
     avoid: &BTreeSet<Constant>,
 ) -> Option<Binding> {
     complete(engine.base_store(db)?, db, avoid)
+}
+
+/// The generic world of a view — the base completion of `view.db`, every unforced
+/// variable a distinct fresh constant outside the request's domain — when the query's
+/// answer on it satisfies `claim`.  The polynomial no-paths' implicit counter-examples
+/// are generic worlds; checking the claim locally keeps a wrong guess from becoming a
+/// certificate.
+pub(crate) fn generic_world(
+    engine: &Engine,
+    view: &View,
+    request: &Instance,
+    claim: impl Fn(&Instance) -> bool,
+) -> Option<Valuation> {
+    let v = valuation(base_completion(
+        engine,
+        &view.db,
+        &avoid_set(&view.db, request),
+    )?);
+    let world = v.world_of(&view.db)?;
+    claim(&view.query.eval(&world)).then_some(v)
 }
 
 /// Assign distinct fresh constants (outside `avoid`) to every database variable the
@@ -215,7 +250,7 @@ pub(crate) fn codd_possibility_witness(db: &CDatabase, facts: &Instance) -> Opti
 }
 
 // ---------------------------------------------------------------------------------------
-// Shared certified-path combinators.
+// Shared certificate builders.
 // ---------------------------------------------------------------------------------------
 
 /// The certificate for "no world satisfies the claim": [`Certificate::EmptyRep`] when the
@@ -229,66 +264,20 @@ pub(crate) fn no_world_cert(db: &CDatabase) -> Certificate {
     }
 }
 
-/// Conjunctive per-shard witness extraction (membership, covering): run `group_search`
-/// on every shard group through the certificate-aware memo, and merge the per-group
-/// bindings by union — groups are variable-disjoint, so the merged binding is a single
-/// valuation whose restriction to each group is that group's witness.  The groups drain
-/// one budget pool through forked contexts, exactly like the uncertified conjunctions.
-/// Returns `(false, None)` as soon as one group fails (the caller derives the
-/// no-certificate at the view level) and `(true, None)` if a group's answer carries no
-/// usable witness (defensive; certified searches always keep their accepting leaf).
-pub(crate) fn per_shard_witness(
-    db: &CDatabase,
-    request: &Instance,
-    engine: &Engine,
-    op: MemoOp,
-    mut group_search: impl FnMut(
-        &CDatabase,
-        &Instance,
-        &Ctx,
-    ) -> Result<(bool, Option<Binding>), DecisionError>,
-) -> Result<(bool, Option<Binding>), DecisionError> {
-    let Some(parts) = crate::engine::split_by_group(db, request) else {
-        return Ok((false, None));
-    };
-    let ctx = engine.ctx();
-    let mut merged: Binding = Vec::new();
-    for (group, part) in db.shard_groups().iter().zip(&parts) {
-        let gdb = group.database();
-        let (ok, cert) = engine.memo_decide(op, gdb, part, None, true, || {
-            let (found, w) = group_search(gdb, part, &ctx.fork())?;
-            let cert = if found {
-                w.map(|w| Certificate::witness(valuation(w)))
-            } else {
-                Some(no_world_cert(gdb))
-            };
-            Ok((found, cert))
-        })?;
-        if !ok {
-            return Ok((false, None));
-        }
-        match cert {
-            Some(Certificate::Witness { valuation }) => merged.extend(valuation.iter()),
-            _ => return Ok((true, None)),
-        }
-    }
-    Ok((true, Some(merged)))
-}
-
-/// Stitch a single group's counter-world into a valuation of the **whole** database:
-/// every other shard group gets its base completion (any world of that group).  The
-/// claims this serves are robust to what the other groups do — a fact missing from (or
-/// escaping) group `g` stays missing/escaped whatever the rest of the world looks like.
-/// `None` iff some other group's globals are unsatisfiable, which the per-shard
-/// dispatchers rule out before searching.
+/// Stitch group `g_idx`'s counter-world into a valuation of the **whole** database:
+/// every other shard group gets its base completion (any world of that group); with no
+/// deciding group, every group does.  The claims this serves are robust to what the
+/// other groups do — a fact missing from (or escaping) group `g` stays missing/escaped
+/// whatever the rest of the world looks like.  `None` iff some other group's globals
+/// are unsatisfiable, which the per-shard dispatchers rule out before searching.
 pub(crate) fn stitch_counter_world(
     engine: &Engine,
     db: &CDatabase,
-    g_idx: usize,
+    g_idx: Option<usize>,
     mut witness: Binding,
 ) -> Option<Binding> {
     for (j, other) in db.shard_groups().iter().enumerate() {
-        if j == g_idx {
+        if Some(j) == g_idx {
             continue;
         }
         let odb = other.database();

@@ -65,8 +65,8 @@ impl fmt::Display for Strategy {
 /// The uniform answer of every decision path: what was decided, by which of the paper's
 /// algorithms, and (optionally) the evidence.
 ///
-/// Every `decide_with`/`decide_certified` entry point across the five problems returns
-/// this one struct — the batched front door ([`crate::batch`]) and the wire layer
+/// Every `decide_with` entry point across the five problems (and
+/// `membership::view_membership_with`) returns this one struct — the batched front door ([`crate::batch`]) and the wire layer
 /// (`pw-serve`) consume it without knowing which problem produced it, and growing the
 /// answer (planner cost, timing) is one field here instead of a workspace-wide
 /// positional-tuple rewrite.

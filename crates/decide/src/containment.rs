@@ -16,10 +16,11 @@ use crate::common::{
     evaluation_delta, freeze_database, normalize_database, Budget, Decision, DecisionError,
     Strategy,
 };
-use crate::engine::{Engine, EngineConfig};
+use crate::engine::{Engine, EngineConfig, MemoOp};
 use crate::membership;
 use pw_core::{CDatabase, Certificate, PairCert, TableClass, Valuation, View};
 use pw_relational::Instance;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 use std::time::Instant;
 
@@ -40,159 +41,37 @@ pub fn decide(view0: &View, view: &View, budget: Budget) -> Result<bool, Decisio
 ///
 /// Returns a [`Decision`] carrying the answer next to the [`Strategy`] that produced
 /// (or attempted) it, so the strategy survives a budget-exceeded search.
+///
+/// On a certifying engine ([`EngineConfig::certify`](crate::EngineConfig::certify)) a
+/// *yes* carries [`Certificate::EmptyRep`], a replayable
+/// [`Certificate::FrozenMembership`] (Theorem 4.1), a per-aligned-pair
+/// [`Certificate::Decomposition`], or rests on [`Certificate::Exhaustive`]; a *no*
+/// carries a [`Certificate::CounterWorld`] — a valuation inducing a world of the left
+/// side that escapes the right (the checker verifies the constructive left half; the
+/// non-membership half is the documented trusted seam).
 pub fn decide_with(view0: &View, view: &View, engine: &Engine) -> Decision {
     let strategy = strategy_with(view0, view, engine.config().per_shard);
-    let answer = match strategy {
-        Strategy::Freeze => freeze_with(&view0.db, &view.db, engine),
+    let certify = engine.config().certify;
+    let decided = match strategy {
+        Strategy::Freeze => freeze_with(view0, view, engine),
+        // rep(view0.db) = ∅ ⊆ anything.
+        _ if !view0.db.has_satisfiable_globals() => {
+            Ok((true, certify.then_some(Certificate::EmptyRep)))
+        }
         Strategy::PerShard { .. } => per_shard(view0, view, engine),
-        _ => forall_exists_with(view0, view, engine),
+        // The failing left valuation is the counter-world.
+        _ => counterexample(view0, view, engine).map(|found| match found {
+            Some(v) => (false, certify.then(|| Certificate::counter_world(v))),
+            None => (true, certify.then_some(Certificate::Exhaustive)),
+        }),
     };
-    Decision::of(answer, strategy)
+    certify::decision(engine, strategy, decided, |_, certificate| certificate)
 }
 
 /// The strategy [`decide`] will use for a pair of views (mirrors the upper-bound regions of
 /// Fig. 2).
 pub fn strategy(view0: &View, view: &View) -> Strategy {
     strategy_with(view0, view, true)
-}
-
-/// [`decide_with`] plus certificate extraction: a *yes* carries
-/// [`Certificate::EmptyRep`], a replayable [`Certificate::FrozenMembership`] (Theorem
-/// 4.1), a per-aligned-pair [`Certificate::Decomposition`], or rests on
-/// [`Certificate::Exhaustive`]; a *no* carries a [`Certificate::CounterWorld`] — a
-/// valuation inducing a world of the left side that escapes the right (the checker
-/// verifies the constructive left half; the non-membership half is the documented
-/// trusted seam).
-pub(crate) fn decide_certified(view0: &View, view: &View, engine: &Engine) -> Decision {
-    if !engine.config().certify {
-        return decide_with(view0, view, engine);
-    }
-    let strategy = strategy_with(view0, view, engine.config().per_shard);
-    match strategy {
-        Strategy::Freeze => certified_freeze(view0, view, engine, strategy),
-        Strategy::PerShard { .. } => certified_per_shard(view0, view, engine, strategy),
-        _ => {
-            if !view0.db.has_satisfiable_globals() {
-                return Decision::certified(Ok(true), strategy, Some(Certificate::EmptyRep));
-            }
-            // The failing left valuation is the counter-world.
-            match counterexample(view0, view, engine) {
-                Err(e) => Decision::of(Err(e), strategy),
-                Ok(Some(v)) => {
-                    Decision::certified(Ok(false), strategy, Some(Certificate::counter_world(v)))
-                }
-                Ok(None) => Decision::certified(Ok(true), strategy, Some(Certificate::Exhaustive)),
-            }
-        }
-    }
-}
-
-/// Certified twin of [`freeze`]: the same normalize → freeze → membership pipeline, with
-/// the witness valuation the checker replays read off the inner membership (the checker
-/// recomputes K₀ itself, so the certificate carries only the right-side valuation).
-fn certified_freeze(view0: &View, view: &View, engine: &Engine, strategy: Strategy) -> Decision {
-    let Some(normalized) = normalize_database(&view0.db) else {
-        return Decision::certified(Ok(true), strategy, Some(Certificate::EmptyRep));
-    };
-    let (k0, _fresh) = freeze_database(&normalized, &view.db.constants());
-    match membership::witness(&view.db, &k0, engine, membership::strategy(&view.db)) {
-        Ok((true, Some(w))) => {
-            let w = certify::fill_unassigned(&view.db, w, &certify::avoid_set(&view.db, &k0));
-            Decision::certified(
-                Ok(true),
-                strategy,
-                Some(Certificate::FrozenMembership {
-                    witness: Box::new(Certificate::witness(certify::valuation(w))),
-                }),
-            )
-        }
-        // Replayed without a usable witness shape — the answer stands, the certificate
-        // does not.
-        Ok((true, None)) => Decision::of(Ok(true), strategy),
-        Ok((false, _)) => {
-            // K₀ itself (as a valuation of the left database) is the counter-world: its
-            // genericity means no right-side valuation can reach it.
-            let mut avoid = view0.db.constants();
-            avoid.extend(view.db.constants());
-            let cert = certify::base_completion(engine, &view0.db, &avoid)
-                .map(|w| Certificate::counter_world(certify::valuation(w)));
-            Decision::certified(Ok(false), strategy, cert)
-        }
-        Err(e) => Decision::of(Err(e), strategy),
-    }
-}
-
-/// Certified twin of [`per_shard`]: the same aligned-pair recursion through the
-/// certificate-aware memo (same `MemoOp::Containment` keys), with the per-pair
-/// certificates assembled into a [`Certificate::Decomposition`] on *yes* and a failing
-/// pair's counter-world stitched with the other left groups' base completions on *no*.
-fn certified_per_shard(view0: &View, view: &View, engine: &Engine, strategy: Strategy) -> Decision {
-    if !view0.db.has_satisfiable_globals() {
-        return Decision::certified(Ok(true), strategy, Some(Certificate::EmptyRep));
-    }
-    use std::collections::BTreeSet;
-    let names = |g: &pw_core::ShardGroup| -> BTreeSet<String> {
-        g.database()
-            .tables()
-            .iter()
-            .map(|t| t.name().to_owned())
-            .collect()
-    };
-    let rights: std::collections::BTreeMap<BTreeSet<String>, &pw_core::ShardGroup> = view
-        .db
-        .shard_groups()
-        .iter()
-        .map(|g| (names(g), g))
-        .collect();
-    let mut pairs: Vec<PairCert> = Vec::new();
-    let mut all_certified = true;
-    for (g_idx, left) in view0.db.shard_groups().iter().enumerate() {
-        let right = rights
-            .get(&names(left))
-            .expect("strategy_with verified the partitions align");
-        let (ldb, rdb) = (left.database(), right.database());
-        let empty = Instance::new();
-        let outcome = engine.memo_decide(
-            crate::engine::MemoOp::Containment,
-            ldb,
-            &empty,
-            Some(rdb),
-            true,
-            || {
-                let decision = decide_certified(
-                    &View::identity(ldb.clone()),
-                    &View::identity(rdb.clone()),
-                    engine,
-                );
-                decision.answer.map(|a| (a, decision.certificate))
-            },
-        );
-        match outcome {
-            Ok((true, cert)) => match cert {
-                Some(c) => pairs.push(PairCert {
-                    relations: names(left),
-                    certificate: c,
-                }),
-                None => all_certified = false,
-            },
-            Ok((false, cert)) => {
-                // The pair's counter-world is a world of the left *group*; extend it
-                // with any world of every other left group.
-                let stitched = match cert {
-                    Some(Certificate::CounterWorld { valuation }) => {
-                        let w = valuation.iter().collect();
-                        certify::stitch_counter_world(engine, &view0.db, g_idx, w)
-                            .map(|w| Certificate::counter_world(certify::valuation(w)))
-                    }
-                    _ => None,
-                };
-                return Decision::certified(Ok(false), strategy, stitched);
-            }
-            Err(e) => return Decision::of(Err(e), strategy),
-        }
-    }
-    let cert = all_certified.then_some(Certificate::Decomposition { pairs });
-    Decision::certified(Ok(true), strategy, cert)
 }
 
 fn strategy_with(view0: &View, view: &View, per_shard: bool) -> Strategy {
@@ -219,7 +98,6 @@ fn strategy_with(view0: &View, view: &View, per_shard: bool) -> Strategy {
 /// other groups — all non-empty — and project the containment).  Mismatched partitions
 /// or schemas fall back to the joint Π₂ᵖ enumeration.
 fn aligned_groups(db0: &CDatabase, db: &CDatabase) -> Option<usize> {
-    use std::collections::BTreeSet;
     let (g0, g1) = (db0.shard_groups(), db.shard_groups());
     if g0.len() < 2 || g0.len() != g1.len() {
         return None;
@@ -232,18 +110,22 @@ fn aligned_groups(db0: &CDatabase, db: &CDatabase) -> Option<usize> {
     (s0 == s1).then_some(g0.len())
 }
 
-/// Containment decomposed over aligned shard groups: an empty left representation is
-/// contained in everything; otherwise every aligned group pair must be contained, with
-/// each pair dispatched recursively (a group pair in the g-table ⊆ e-table region runs
-/// the *polynomial* freeze — isolating the tractable fragments the joint enumeration
-/// would have drowned in its exponent).  Each group pair searches under the full request
+/// Containment decomposed over aligned shard groups, for a non-empty left
+/// representation: every aligned group pair must be contained, with each pair
+/// dispatched recursively (a group pair in the g-table ⊆ e-table region runs the
+/// *polynomial* freeze — isolating the tractable fragments the joint enumeration would
+/// have drowned in its exponent).  Each group pair searches under the full request
 /// budget: group decompositions are how a budget-sized search stays feasible at all
 /// here, and a per-group slice would make the bound depend on the grouping.
-fn per_shard(view0: &View, view: &View, engine: &Engine) -> Result<bool, DecisionError> {
-    if !view0.db.has_satisfiable_globals() {
-        return Ok(true); // rep(view0.db) = ∅ ⊆ anything
-    }
-    use std::collections::BTreeSet;
+///
+/// Under certify the per-pair certificates assemble into a
+/// [`Certificate::Decomposition`] on *yes*, and a failing pair's counter-world is
+/// stitched with the other left groups' base completions on *no*.
+fn per_shard(
+    view0: &View,
+    view: &View,
+    engine: &Engine,
+) -> Result<(bool, Option<Certificate>), DecisionError> {
     let names = |g: &pw_core::ShardGroup| -> BTreeSet<String> {
         g.database()
             .tables()
@@ -251,13 +133,14 @@ fn per_shard(view0: &View, view: &View, engine: &Engine) -> Result<bool, Decisio
             .map(|t| t.name().to_owned())
             .collect()
     };
-    let rights: std::collections::BTreeMap<BTreeSet<String>, &pw_core::ShardGroup> = view
+    let rights: BTreeMap<BTreeSet<String>, &pw_core::ShardGroup> = view
         .db
         .shard_groups()
         .iter()
         .map(|g| (names(g), g))
         .collect();
-    for left in view0.db.shard_groups() {
+    let mut pairs = engine.config().certify.then(Vec::new);
+    for (g_idx, left) in view0.db.shard_groups().iter().enumerate() {
         let right = rights
             .get(&names(left))
             .expect("strategy_with verified the partitions align");
@@ -266,27 +149,45 @@ fn per_shard(view0: &View, view: &View, engine: &Engine) -> Result<bool, Decisio
         // re-decide after a delta replays every aligned pair whose two sides are
         // untouched and two different pairs can never collide.
         let (ldb, rdb) = (left.database(), right.database());
-        let empty = Instance::new();
-        let (answer, _) = engine.memo_decide(
-            crate::engine::MemoOp::Containment,
+        let (contained, cert) = engine.memo_decide(
+            MemoOp::Containment,
             ldb,
-            &empty,
+            &Instance::new(),
             Some(rdb),
-            false,
             || {
                 let decision = decide_with(
                     &View::identity(ldb.clone()),
                     &View::identity(rdb.clone()),
                     engine,
                 );
-                decision.answer.map(|a| (a, None))
+                decision.answer.map(|a| (a, decision.certificate))
             },
         )?;
-        if !answer {
-            return Ok(false);
+        if !contained {
+            // The pair's counter-world is a world of the left *group*; extend it with
+            // any world of every other left group.
+            let stitched = match cert {
+                Some(Certificate::CounterWorld { valuation }) => {
+                    let w = valuation.iter().collect();
+                    certify::stitch_counter_world(engine, &view0.db, Some(g_idx), w)
+                        .map(|w| Certificate::counter_world(certify::valuation(w)))
+                }
+                _ => None,
+            };
+            return Ok((false, stitched));
         }
+        pairs = pairs.zip(cert).map(|(mut pairs, certificate)| {
+            pairs.push(PairCert {
+                relations: names(left),
+                certificate,
+            });
+            pairs
+        });
     }
-    Ok(true)
+    Ok((
+        true,
+        pairs.map(|pairs| Certificate::Decomposition { pairs }),
+    ))
 }
 
 /// Theorem 4.1(2,3): containment of a g-table database in an e-table (or Codd-table)
@@ -299,45 +200,68 @@ fn per_shard(view0: &View, view: &View, engine: &Engine) -> Result<bool, Decisio
 /// Codd-tables (PTIME overall), backtracking for e-tables (an NP call, as Theorem 4.1(2)
 /// promises).
 pub fn freeze(db0: &CDatabase, db: &CDatabase, budget: Budget) -> Result<bool, DecisionError> {
-    freeze_with(db0, db, &Engine::new(EngineConfig::sequential(budget)))
+    let engine = Engine::new(EngineConfig::sequential(budget));
+    let (view0, view) = (View::identity(db0.clone()), View::identity(db.clone()));
+    Ok(freeze_with(&view0, &view, &engine)?.0)
 }
 
 /// [`freeze`] on an explicit [`Engine`]: the membership test of K₀ runs under the
-/// engine's budget, limits and memo.
-fn freeze_with(db0: &CDatabase, db: &CDatabase, engine: &Engine) -> Result<bool, DecisionError> {
-    let Some(normalized) = normalize_database(db0) else {
-        return Ok(true); // rep(db0) = ∅ ⊆ anything
+/// engine's budget, limits and memo.  Under certify a *yes* carries the
+/// [`Certificate::FrozenMembership`] the checker replays — the right-side witness read
+/// off the inner membership (the checker recomputes K₀ itself) — and a *no* carries K₀
+/// itself as a valuation of the left database: its genericity means no right-side
+/// valuation can reach it.
+fn freeze_with(
+    view0: &View,
+    view: &View,
+    engine: &Engine,
+) -> Result<(bool, Option<Certificate>), DecisionError> {
+    let Some(normalized) = normalize_database(&view0.db) else {
+        // rep(db0) = ∅ ⊆ anything
+        return Ok((
+            true,
+            engine.config().certify.then_some(Certificate::EmptyRep),
+        ));
     };
-    let (k0, _fresh) = freeze_database(&normalized, &db.constants());
-    membership::decide_with(db, &k0, engine)
+    let (k0, _fresh) = freeze_database(&normalized, &view.db.constants());
+    let strategy = membership::strategy(&view.db);
+    let (member, w) = membership::dispatch(&view.db, &k0, engine, strategy)?;
+    if !engine.config().certify {
+        return Ok((member, None));
+    }
+    let certificate = if member {
+        w.map(|w| {
+            let w = certify::fill_unassigned(&view.db, w, &certify::avoid_set(&view.db, &k0));
+            Certificate::FrozenMembership {
+                witness: Box::new(Certificate::witness(certify::valuation(w))),
+            }
+        })
+    } else {
+        let mut avoid = view0.db.constants();
+        avoid.extend(view.db.constants());
+        certify::base_completion(engine, &view0.db, &avoid)
+            .map(|w| Certificate::counter_world(certify::valuation(w)))
+    };
+    Ok((member, certificate))
 }
 
 /// Proposition 2.1(1): the general Π₂ᵖ procedure.  Every canonical valuation σ₀ of the left
 /// database yields a world `q₀(σ₀(𝒯₀))` that must be a member of the right view; Δ is the
 /// union of the constants of both inputs (plus both queries, via the instances produced).
-pub fn forall_exists(view0: &View, view: &View, budget: Budget) -> Result<bool, DecisionError> {
-    forall_exists_with(view0, view, &Engine::new(EngineConfig::sequential(budget)))
-}
-
-/// [`forall_exists`] on an explicit [`Engine`] (parallel enumeration of the left
-/// valuations).
 ///
 /// A genuine counterexample — a world of the left view that is *not* a member of the
 /// right — always wins over an inner membership search running out of budget, matching
 /// the engine's "a found witness beats budget exhaustion" rule: inner exhaustions are
 /// recorded on the side and only reported when no counterexample is found anywhere.
-pub fn forall_exists_with(
-    view0: &View,
-    view: &View,
-    engine: &Engine,
-) -> Result<bool, DecisionError> {
+pub fn forall_exists(view0: &View, view: &View, budget: Budget) -> Result<bool, DecisionError> {
     if !view0.db.has_satisfiable_globals() {
         return Ok(true);
     }
-    Ok(counterexample(view0, view, engine)?.is_none())
+    let engine = Engine::new(EngineConfig::sequential(budget));
+    Ok(counterexample(view0, view, &engine)?.is_none())
 }
 
-/// The search behind [`forall_exists_with`]: a canonical valuation of the left database
+/// The search behind [`forall_exists`]: a canonical valuation of the left database
 /// whose world, through `q₀`, is not a member of the right view — or `None` when there
 /// is none.  An inner membership failure on some world is reported only if no world is
 /// a counterexample.

@@ -51,6 +51,7 @@
 //!   scheduling decides whether the witness or the exhaustion is reached first — callers
 //!   that need bit-for-bit reproducibility at tight budgets run with `threads = 1`.
 
+use crate::certify::{self, Evidence};
 use crate::common::{
     Budget, BudgetExceeded, CancelToken, DecisionError, FaultPlan, Limits, LIMIT_CHECK_MASK,
 };
@@ -139,10 +140,11 @@ pub struct EngineConfig {
     /// the joint search, e.g. to cross-check the equivalence in tests.
     pub per_shard: bool,
     /// Attach a [`pw_core::Certificate`] to every definite answer (see `pw_check` for
-    /// the acceptance rules).  Off by default: certified decides pay for evidence
-    /// extraction — every constraint search keeps its accepting leaf's store, and the
-    /// certificate is completed from it — a bounded overhead (the bench harness tracks
-    /// it), but not free.
+    /// the acceptance rules), whichever entry point decides it.  Off by default:
+    /// certified decides pay for evidence extraction — every constraint search keeps
+    /// its accepting leaf's store, the certificate is completed from it, and the memo
+    /// stores it beside the verdict — a bounded overhead (perfbench's `point-decide`
+    /// workload prices it; its traced run reports `decide.certify.us`), but not free.
     pub certify: bool,
 }
 
@@ -1371,22 +1373,22 @@ impl Engine {
     /// `compute` and store its (definite) result — the one entry path for certified and
     /// uncertified decides alike, with the certificate as an optional payload.
     ///
-    /// An entry answers the lookup when it exists and, for a caller that wants
-    /// `evidence`, when it also holds a certificate.  Otherwise `compute` runs: an
-    /// evidence-wanting caller then upgrades an existing entry in place (same clock
-    /// slot), so subsequent replays stay auditable; an uncertified caller inserts only
-    /// when no entry exists — the verdict is deterministic, so the first insert wins.
-    /// Errors — budget exhaustion above all — are returned but never cached: a later
-    /// call with more budget must be able to succeed.
+    /// An entry answers the lookup when it exists and, on a certifying engine
+    /// ([`EngineConfig::certify`]), when it also holds a certificate.  Otherwise
+    /// `compute` runs: a certifying engine then upgrades an existing entry in place
+    /// (same clock slot), so subsequent replays stay auditable; an uncertified engine
+    /// inserts only when no entry exists — the verdict is deterministic, so the first
+    /// insert wins.  Errors — budget exhaustion above all — are returned but never
+    /// cached: a later call with more budget must be able to succeed.
     pub(crate) fn memo_decide(
         &self,
         op: MemoOp,
         db: &CDatabase,
         request: &Instance,
         rhs: Option<&CDatabase>,
-        evidence: bool,
         compute: impl FnOnce() -> Result<(bool, Option<Certificate>), DecisionError>,
     ) -> Result<(bool, Option<Certificate>), DecisionError> {
+        let evidence = self.cfg.certify;
         let slot = match rhs {
             Some(rhs) => {
                 debug_assert!(op == MemoOp::Containment && request.relation_count() == 0);
@@ -1611,6 +1613,19 @@ impl Engine {
             }
         }
         self.base_store(db).is_some()
+    }
+
+    /// Is `rep(db)` non-empty?  With `per_shard`, the shard groups' globals are checked
+    /// group by group — groups are variable-disjoint, so the joint conjunction factors —
+    /// through the groups' own cached base stores.
+    pub(crate) fn has_worlds(&self, db: &CDatabase, per_shard: bool) -> bool {
+        if per_shard {
+            db.shard_groups()
+                .iter()
+                .all(|g| self.has_satisfiable_globals(g.database()))
+        } else {
+            self.has_satisfiable_globals(db)
+        }
     }
 
     /// The base constraint store of `db`: every table's global condition asserted.
@@ -1851,177 +1866,165 @@ impl Engine {
 
     // -- shard-group (per-shard) variants ------------------------------------------------
     //
-    // When the database's coupling graph splits, the three constraint searches decompose
-    // along the groups: rep(db) is the product of the groups' representations (groups are
+    // When the database's coupling graph splits, the constraint searches decompose along
+    // the groups: rep(db) is the product of the groups' representations (groups are
     // variable-disjoint), so an existential question about the whole database is either a
-    // conjunction of per-group questions (covering: *every* group must have a covering
-    // valuation) or a disjunction (a fact missing / a fact escaping *somewhere*).  The
-    // disjunctions stay one forest — the same shared budget and first-witness
-    // cancellation, with each root cloning its *group's* base store instead of the joint
-    // one — while the conjunction runs the groups back to back, draining one budget pool
-    // through forked contexts (a witness in one group must not cancel the next group's
-    // search).  Answers are bit-identical to the joint search by construction; what
+    // conjunction of per-group questions (membership, covering: *every* group must have
+    // a witness) or a disjunction (a fact missing / a row escaping *somewhere*).  Both run
+    // the groups back to back, draining one budget pool through forked contexts (a
+    // witness in one group must not cancel the next group's search), and every group
+    // verdict goes through the decision memo, so after a delta only the dirty groups
+    // re-search.  Answers are bit-identical to the joint search by construction; what
     // changes is the tree: the joint search re-explores every earlier group's
     // alternatives each time a later group fails, the decomposition pays each group once.
+    //
+    // On a certifying engine each combinator also returns its evidence as a binding over
+    // the *whole* database: the union of the group witnesses for a conjunction, the
+    // deciding group's counter-world stitched with any world of the other groups for a
+    // disjunction.  Uncertified engines build no binding and memoize no certificate.
 
-    /// [`Engine::exists_world_covering`] decomposed over the shard groups: the facts are
-    /// split per group and every group must cover its part.  Callers dispatch here only
-    /// when the coupling graph splits (`db.shard_groups().len() > 1`).  Each group's
-    /// verdict goes through the decision memo, so after a delta only the dirty groups
-    /// re-search.
-    pub fn exists_world_covering_per_shard(
+    /// The per-shard conjunction: `request` is split per group and every group must
+    /// answer its part with `group_search`.  Callers dispatch here only when the coupling
+    /// graph splits (`db.shard_groups().len() > 1`).  A populated relation the database
+    /// does not have (or of the wrong arity) answers no, the joint search's schema rule;
+    /// a group with no part still gates the conjunction (its globals must be
+    /// satisfiable, which each group search checks).
+    pub(crate) fn per_shard_conjunction(
         &self,
+        op: MemoOp,
         db: &CDatabase,
-        facts: &Instance,
-    ) -> Result<bool, DecisionError> {
-        let Some(parts) = split_by_group(db, facts) else {
-            return Ok(false);
+        request: &Instance,
+        group_search: impl Fn(&CDatabase, &Instance, &Ctx) -> Result<Evidence, DecisionError>,
+    ) -> Result<Evidence, DecisionError> {
+        let Some(parts) = split_by_group(db, request) else {
+            return Ok((false, None));
         };
         let ctx = self.ctx();
+        let mut merged = self.cfg.certify.then(Vec::new);
         for (group, part) in db.shard_groups().iter().zip(&parts) {
-            // A group with no facts still gates the conjunction: its globals must be
-            // satisfiable (the joint base store asserts them too), which is exactly what
-            // `covering_ctx` on an empty part checks.
-            let (covered, _) = self.memo_decide(
-                MemoOp::Covering,
-                group.database(),
-                part,
-                None,
-                false,
-                || {
-                    let verdict = self.covering_ctx(group.database(), part, &ctx.fork())?;
-                    Ok((verdict.found, None))
-                },
-            )?;
-            if !covered {
-                return Ok(false);
+            let gdb = group.database();
+            let (found, cert) = self.memo_decide(op, gdb, part, None, || {
+                let (found, w) = group_search(gdb, part, &ctx.fork())?;
+                let cert = self.cfg.certify.then(|| {
+                    if found {
+                        w.map(|w| Certificate::witness(certify::valuation(w)))
+                    } else {
+                        Some(certify::no_world_cert(gdb))
+                    }
+                });
+                Ok((found, cert.flatten()))
+            })?;
+            if !found {
+                return Ok((false, None));
             }
+            merged = match (merged, cert) {
+                (Some(mut m), Some(Certificate::Witness { valuation })) => {
+                    m.extend(valuation.iter());
+                    Some(m)
+                }
+                _ => None,
+            };
         }
-        Ok(true)
+        Ok((true, merged))
     }
 
-    /// [`Engine::exists_world_missing_any_fact`] decomposed over the shard groups: a
-    /// fact can only be missing from a world of the group owning its relation, so the
-    /// disjunction runs group by group — each group's slice of the facts searched
-    /// against the group's base store (one budget pool threaded through forked
-    /// contexts), with the group verdict going through the decision memo.
+    /// [`Engine::missing_any_ctx`] over the shard groups: a fact can only be missing
+    /// from a world of the group owning its relation, so the disjunction searches each
+    /// populated group's slice of the facts against the group's base store.  A fact of
+    /// a relation the database does not have is missing from every world.  Callers rule
+    /// out the empty representation first.
     ///
-    /// Trade-off: the pre-memo implementation drove one forest over *all* facts, so on
-    /// a cold engine a witness in a late group could cancel the earlier groups'
-    /// refutations mid-flight; the per-group sequence pays each earlier group's full
-    /// refutation once before reaching that witness.  The memo is the compensation —
-    /// on every decision after the first, untouched groups replay instead of
-    /// re-searching at all (the serving pattern this subsystem exists for).
-    pub fn exists_world_missing_any_fact_per_shard(
-        &self,
-        db: &CDatabase,
-        facts: &Instance,
-    ) -> Result<bool, DecisionError> {
-        self.missing_any_per_shard_ctx(db, facts, &self.ctx())
-    }
-
+    /// Trade-off: a joint forest over *all* facts lets a witness in a late group cancel
+    /// the earlier groups' refutations mid-flight on a cold engine; the per-group
+    /// sequence pays each earlier group's full refutation once before reaching that
+    /// witness.  The memo is the compensation — on every decision after the first,
+    /// untouched groups replay instead of re-searching at all.
     pub(crate) fn missing_any_per_shard_ctx(
         &self,
         db: &CDatabase,
         facts: &Instance,
         ctx: &Ctx,
-    ) -> Result<bool, DecisionError> {
-        let group_of = db.shard_group_index();
-        let mut parts: Vec<Instance> = vec![Instance::new(); db.shard_groups().len()];
-        let mut any_fact = false;
-        for (name, rel) in facts.iter() {
-            if rel.is_empty() {
-                continue;
-            }
-            match db.table_position(name) {
-                Some(pos) if db.tables()[pos].arity() == rel.arity() => {
-                    parts[group_of[pos]].insert_relation(name.clone(), rel.clone());
-                    any_fact = true;
-                }
-                // No such relation (or wrong arity): missing from every world.
-                _ => return Ok(true),
-            }
-        }
-        if !any_fact {
-            return Ok(false);
-        }
-        if db
-            .shard_groups()
-            .iter()
-            .any(|g| !self.has_satisfiable_globals(g.database()))
-        {
-            // Empty representation — same outcome as the joint search's missing base
-            // store; callers handle the vacuous-certainty case separately.
-            return Ok(false);
-        }
-        for (group, part) in db.shard_groups().iter().zip(&parts) {
-            if part.relation_count() == 0 {
-                continue;
-            }
-            let (missing, _) = self.memo_decide(
-                MemoOp::MissingAny,
-                group.database(),
-                part,
-                None,
-                false,
-                || {
-                    let verdict = self.missing_any_ctx(group.database(), part, &ctx.fork())?;
-                    Ok((verdict.found, None))
-                },
-            )?;
-            if missing {
-                return Ok(true);
-            }
-        }
-        Ok(false)
+    ) -> Result<Evidence, DecisionError> {
+        let Some(parts) = split_by_group(db, facts) else {
+            // Any world at all misses the unknown relation's facts.
+            let world = self
+                .cfg
+                .certify
+                .then(|| certify::stitch_counter_world(self, db, None, Vec::new()));
+            return Ok((true, world.flatten()));
+        };
+        let parts = parts
+            .into_iter()
+            .enumerate()
+            .filter(|(_, part)| part.relation_count() > 0);
+        self.per_shard_disjunction(MemoOp::MissingAny, db, parts, ctx, |gdb, part, ctx| {
+            self.missing_any_ctx(gdb, part, ctx)
+        })
     }
 
-    /// [`Engine::exists_world_with_fact_outside`] decomposed over the shard groups: a
-    /// row can only escape into a world of its own group, so the disjunction runs group
-    /// by group against the group's base store and slice of the instance, with the
-    /// group verdict going through the decision memo.
-    pub fn exists_world_with_fact_outside_per_shard(
-        &self,
-        db: &CDatabase,
-        instance: &Instance,
-    ) -> Result<bool, DecisionError> {
-        self.fact_outside_per_shard_ctx(db, instance, &self.ctx())
-    }
-
+    /// [`Engine::fact_outside_ctx`] over the shard groups: a row can only escape into a
+    /// world of its own group, so the disjunction searches every group against its base
+    /// store and its slice of the instance.  Callers rule out the empty representation
+    /// first.
     pub(crate) fn fact_outside_per_shard_ctx(
         &self,
         db: &CDatabase,
         instance: &Instance,
         ctx: &Ctx,
-    ) -> Result<bool, DecisionError> {
-        // Empty representation (some group's globals unsatisfiable ⇒ the joint globals
-        // are): no world exists, hence no world with an extra fact — the outcome the
-        // joint search's missing base store yields.
-        if db
-            .shard_groups()
-            .iter()
-            .any(|g| !self.has_satisfiable_globals(g.database()))
-        {
-            return Ok(false);
-        }
-        for group in db.shard_groups() {
-            let gdb = group.database();
+    ) -> Result<Evidence, DecisionError> {
+        let parts = db.shard_groups().iter().enumerate().map(|(g_idx, group)| {
             let mut part = Instance::new();
-            for table in gdb.tables() {
+            for table in group.database().tables() {
                 if let Some(rel) = instance.relation(table.name()) {
                     if rel.arity() == table.arity() && !rel.is_empty() {
                         part.insert_relation(table.name().to_owned(), rel.clone());
                     }
                 }
             }
-            let (escapes, _) = self.memo_decide(MemoOp::Escape, gdb, &part, None, false, || {
-                Ok((self.fact_outside_ctx(gdb, &part, &ctx.fork())?.found, None))
+            (g_idx, part)
+        });
+        self.per_shard_disjunction(MemoOp::Escape, db, parts, ctx, |gdb, part, ctx| {
+            self.fact_outside_ctx(gdb, part, ctx)
+        })
+    }
+
+    /// The per-shard disjunction behind the missing-fact and escaping-row searches: run
+    /// `search` on each `(group, part)` in turn and stop at the first group that finds
+    /// a counter-world.  Under certify a group stores its counter-world, or the
+    /// exhaustive search as the evidence that it has none.
+    fn per_shard_disjunction(
+        &self,
+        op: MemoOp,
+        db: &CDatabase,
+        parts: impl Iterator<Item = (usize, Instance)>,
+        ctx: &Ctx,
+        search: impl Fn(&CDatabase, &Instance, &Ctx) -> Result<Verdict, DecisionError>,
+    ) -> Result<Evidence, DecisionError> {
+        for (g_idx, part) in parts {
+            let gdb = db.shard_groups()[g_idx].database();
+            let (found, cert) = self.memo_decide(op, gdb, &part, None, || {
+                let (found, w) = certify::read_off(search(gdb, &part, &ctx.fork())?, gdb, &part);
+                let cert = self.cfg.certify.then(|| {
+                    if found {
+                        w.map(|w| Certificate::counter_world(certify::valuation(w)))
+                    } else {
+                        Some(Certificate::Exhaustive)
+                    }
+                });
+                Ok((found, cert.flatten()))
             })?;
-            if escapes {
-                return Ok(true);
+            if found {
+                let world = match cert {
+                    Some(Certificate::CounterWorld { valuation }) => {
+                        let w = valuation.iter().collect();
+                        certify::stitch_counter_world(self, db, Some(g_idx), w)
+                    }
+                    _ => None,
+                };
+                return Ok((true, world));
             }
         }
-        Ok(false)
+        Ok((false, None))
     }
 
     // -- canonical-valuation enumeration -------------------------------------------------
@@ -3150,7 +3153,7 @@ pub(crate) mod tests {
         let fact = Instance::single("A", rel![[1]]);
         let store = |op, db: &CDatabase, request: &Instance, rhs: Option<&CDatabase>| {
             engine
-                .memo_decide(op, db, request, rhs, false, || Ok((true, None)))
+                .memo_decide(op, db, request, rhs, || Ok((true, None)))
                 .unwrap();
         };
         store(MemoOp::Member, &a, &fact, None);
@@ -3196,7 +3199,7 @@ pub(crate) mod tests {
         let empty = Instance::new();
         let store = |db: &CDatabase| {
             engine
-                .memo_decide(MemoOp::Member, db, &empty, None, false, || Ok((true, None)))
+                .memo_decide(MemoOp::Member, db, &empty, None, || Ok((true, None)))
                 .unwrap();
         };
         for round in 0..3 {

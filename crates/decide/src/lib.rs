@@ -34,6 +34,15 @@
 //! See `docs/BOOK.md` (sections "The parallel engine" and "Shard groups and the
 //! coupling graph") for the invariants — budget semantics and determinism of answers
 //! under parallelism.
+//!
+//! ## Certificates
+//!
+//! Under [`EngineConfig::certify`] every definite answer carries a [`Certificate`] the
+//! independent `pw_check` crate verifies in polynomial time.  Each problem has one
+//! decide path for both modes — its `decide_with` (`membership::view_membership_with`
+//! for membership), which the batch front door calls too — and the certificate rides
+//! the search that decides: it is read off that search's accepting leaf, and an
+//! uncertified engine does no certificate work.  See `docs/BOOK.md` §13.
 
 #![warn(missing_docs)]
 

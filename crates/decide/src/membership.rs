@@ -15,12 +15,13 @@
 //! * [`decide`] — the dispatching entry point that picks the strategy the paper's upper
 //!   bounds prescribe.
 
-use crate::certify;
+use crate::certify::{self, Evidence};
 use crate::common::{evaluation_delta, Budget, Decision, DecisionError, Strategy};
 use crate::engine::{
     offsets, ChoiceNode, ChoiceSearch, Ctx, Engine, EngineConfig, MemoOp, SlotSet, Verdict,
 };
 use pw_condition::{Atom, ConstraintSet, Term, Variable};
+use pw_core::algebra::AlgebraError;
 use pw_core::{CDatabase, CTable, CTuple, Certificate, View};
 use pw_relational::{Instance, Sym};
 use pw_solvers::matching::{maximum_matching, BipartiteGraph};
@@ -30,17 +31,8 @@ use std::collections::{BTreeSet, HashMap};
 /// Codd-table databases, to the shard-group decomposition when the coupling graph splits,
 /// and to the joint backtracking procedure otherwise.
 pub fn decide(db: &CDatabase, instance: &Instance, budget: Budget) -> Result<bool, DecisionError> {
-    decide_with(db, instance, &Engine::new(EngineConfig::sequential(budget)))
-}
-
-/// [`decide`] on an explicit [`Engine`]: the same dispatch, with the backtracking arms
-/// on the engine's scheduler under its budget, limits and memo.
-pub(crate) fn decide_with(
-    db: &CDatabase,
-    instance: &Instance,
-    engine: &Engine,
-) -> Result<bool, DecisionError> {
-    dispatch(db, instance, engine, strategy(db))
+    let engine = Engine::new(EngineConfig::sequential(budget));
+    Ok(dispatch(db, instance, &engine, strategy(db))?.0)
 }
 
 /// The strategy [`decide`] will use for a database.
@@ -48,58 +40,28 @@ pub fn strategy(db: &CDatabase) -> Strategy {
     strategy_with(db, true)
 }
 
-/// [`decide`] with the shard-group decomposition forced off — the joint dispatch the
-/// callers that must mirror the pre-decomposition behaviour (e.g. the joint uniqueness
-/// complement) rely on.  The backtracking arm runs on the engine's scheduler, so the
-/// joint complement parallelizes within its single tree.
-pub(crate) fn decide_joint_with(
-    db: &CDatabase,
-    instance: &Instance,
-    engine: &Engine,
-) -> Result<bool, DecisionError> {
-    dispatch(db, instance, engine, strategy_with(db, false))
-}
-
-/// Run the membership algorithm `strategy` names.
-fn dispatch(
+/// Run the membership algorithm `strategy` names on the engine, under its budget,
+/// limits and memo.  The evidence a certifying engine keeps is the witness binding over
+/// `db` — read off the accepting leaf of the backtracking search (per group through the
+/// decision memo for [`Strategy::PerShard`]), or built from the matching for
+/// [`Strategy::CoddMatching`].
+pub(crate) fn dispatch(
     db: &CDatabase,
     instance: &Instance,
     engine: &Engine,
     strategy: Strategy,
-) -> Result<bool, DecisionError> {
+) -> Result<Evidence, DecisionError> {
     match strategy {
-        Strategy::CoddMatching => Ok(codd_matching(db, instance)),
+        Strategy::CoddMatching => Ok(codd_evidence(db, instance, engine)),
         Strategy::PerShard { .. } => per_shard_with(db, instance, engine),
-        _ => backtracking_with(db, instance, engine),
+        _ => backtracking_evidence(db, instance, engine, &engine.ctx()),
     }
 }
 
-/// [`dispatch`] with the evidence a certifying engine keeps: the verdict and the witness
-/// binding over `db` — read off the accepting leaf of the backtracking search (per group
-/// through the certificate-aware memo for [`Strategy::PerShard`]), or built from the
-/// matching for [`Strategy::CoddMatching`].
-pub(crate) fn witness(
-    db: &CDatabase,
-    instance: &Instance,
-    engine: &Engine,
-    strategy: Strategy,
-) -> Result<(bool, Option<certify::Binding>), DecisionError> {
-    Ok(match strategy {
-        Strategy::CoddMatching => {
-            let w = certify::codd_membership_witness(db, instance);
-            (w.is_some(), w)
-        }
-        Strategy::PerShard { .. } => certified_per_shard_member(db, instance, engine)?,
-        _ => {
-            let verdict = backtracking_ctx(db, instance, engine, &engine.ctx())?;
-            certify::read_off(verdict, db, instance)
-        }
-    })
-}
-
 /// [`strategy`] with the shard-group decomposition toggled — engine-backed callers pass
-/// [`crate::EngineConfig::per_shard`] so the label always matches the path that runs.
-fn strategy_with(db: &CDatabase, per_shard: bool) -> Strategy {
+/// [`crate::EngineConfig::per_shard`] so the label always matches the path that runs,
+/// and the joint uniqueness complement passes `false`.
+pub(crate) fn strategy_with(db: &CDatabase, per_shard: bool) -> Strategy {
     if db.is_decoupled_codd() {
         Strategy::CoddMatching
     } else {
@@ -118,47 +80,44 @@ fn strategy_with(db: &CDatabase, per_shard: bool) -> Strategy {
 /// group's representation — a conjunction of small searches instead of one joint tree
 /// that re-explores every earlier group's row assignments whenever a later group fails.
 /// Each group dispatches to its own best algorithm (matching for decoupled-Codd groups,
-/// backtracking otherwise); one budget pool is drained by the whole conjunction, so
-/// `budget` still bounds the total node count.
-pub fn per_shard(
-    db: &CDatabase,
-    instance: &Instance,
-    budget: Budget,
-) -> Result<bool, DecisionError> {
-    per_shard_with(db, instance, &Engine::new(EngineConfig::sequential(budget)))
-}
-
-/// [`per_shard`] against an [`Engine`]: the per-group verdicts go through the engine's
-/// decision memo, so a re-decide after a delta ([`pw_core::CDatabase::apply`]) replays
-/// the untouched groups and only re-searches the dirty ones.
+/// backtracking otherwise); one budget pool is drained by the whole conjunction, and the
+/// per-group verdicts go through the engine's decision memo, so a re-decide after a
+/// delta ([`pw_core::CDatabase::apply`]) replays the untouched groups and only
+/// re-searches the dirty ones.
 pub(crate) fn per_shard_with(
     db: &CDatabase,
     instance: &Instance,
     engine: &Engine,
-) -> Result<bool, DecisionError> {
-    // An unknown or arity-mismatched relation is not a member of anything — the same
-    // outcome `schema_compatible` gives the joint search.
-    let Some(parts) = crate::engine::split_by_group(db, instance) else {
-        return Ok(false);
-    };
-    let ctx = engine.ctx();
-    for (group, part) in db.shard_groups().iter().zip(&parts) {
-        let sub = group.database();
-        let (ok, _) = engine.memo_decide(MemoOp::Member, sub, part, None, false, || {
-            let found = if sub.is_decoupled_codd() {
-                codd_matching(sub, part)
-            } else {
-                // One budget pool across the conjunction, a fresh cancellation scope per
-                // group: a witness in one group must not stop the next group's search.
-                backtracking_ctx(sub, part, engine, &ctx.fork())?.found
-            };
-            Ok((found, None))
-        })?;
-        if !ok {
-            return Ok(false);
+) -> Result<Evidence, DecisionError> {
+    engine.per_shard_conjunction(MemoOp::Member, db, instance, |sub, part, ctx| {
+        if sub.is_decoupled_codd() {
+            Ok(codd_evidence(sub, part, engine))
+        } else {
+            backtracking_evidence(sub, part, engine, ctx)
         }
+    })
+}
+
+/// The matching algorithm with its evidence: the witness built from the matching on a
+/// certifying engine, the bare answer otherwise.
+fn codd_evidence(db: &CDatabase, instance: &Instance, engine: &Engine) -> Evidence {
+    if engine.config().certify {
+        let w = certify::codd_membership_witness(db, instance);
+        (w.is_some(), w)
+    } else {
+        (codd_matching(db, instance), None)
     }
-    Ok(true)
+}
+
+/// The backtracking search with its evidence read off the accepting leaf.
+fn backtracking_evidence(
+    db: &CDatabase,
+    instance: &Instance,
+    engine: &Engine,
+    ctx: &Ctx,
+) -> Result<Evidence, DecisionError> {
+    let verdict = backtracking_ctx(db, instance, engine, ctx)?;
+    Ok(certify::read_off(verdict, db, instance))
 }
 
 /// Quick structural check shared by all algorithms: the instance may not populate relations
@@ -248,7 +207,8 @@ pub fn backtracking(
     instance: &Instance,
     budget: Budget,
 ) -> Result<bool, DecisionError> {
-    backtracking_with(db, instance, &Engine::new(EngineConfig::sequential(budget)))
+    let engine = Engine::new(EngineConfig::sequential(budget));
+    Ok(backtracking_ctx(db, instance, &engine, &engine.ctx())?.found)
 }
 
 // -- the engine-scheduled backtracking path ---------------------------------------------
@@ -375,19 +335,11 @@ impl ChoiceSearch for MemberSearch<'_> {
     }
 }
 
-/// [`backtracking`] driven by the engine's scheduler (work-stealing by default): the
-/// joint NP search for one condition-coupled database, parallel within the single tree.
-pub(crate) fn backtracking_with(
-    db: &CDatabase,
-    instance: &Instance,
-    engine: &Engine,
-) -> Result<bool, DecisionError> {
-    Ok(backtracking_ctx(db, instance, engine, &engine.ctx())?.found)
-}
-
-/// [`backtracking_with`] against an externally owned context, so the per-shard
-/// conjunction can drain one budget pool across consecutive group searches; the
-/// [`Verdict`] carries the accepting leaf when the engine certifies.
+/// [`backtracking`] driven by the engine's scheduler (work-stealing by default, so a
+/// single condition-coupled group parallelizes within its one tree) against an
+/// externally owned context, so the per-shard conjunction can drain one budget pool
+/// across consecutive group searches; the [`Verdict`] carries the accepting leaf when
+/// the engine certifies.
 pub(crate) fn backtracking_ctx(
     db: &CDatabase,
     instance: &Instance,
@@ -489,164 +441,76 @@ pub fn view_membership(
 /// [`view_membership`] on an explicit [`Engine`]: the generic fallback (canonical
 /// valuation enumeration) runs on the engine's worker pool, and the identity and
 /// UCQ-convertible paths drive the NP backtracking search through the engine's
-/// work-stealing scheduler (`backtracking_with`) — a single condition-coupled group
-/// parallelizes within its one search tree.
+/// work-stealing scheduler — a single condition-coupled group parallelizes within its
+/// one search tree.
 ///
 /// Returns a [`Decision`] carrying the answer next to the [`Strategy`] that produced
 /// (or attempted) it, so the strategy survives a budget-exceeded search — the batched
 /// front door labels failures without re-deriving the plan.  The view→c-table
 /// conversion behind the dispatch runs exactly once per call.
+///
+/// On a certifying engine ([`EngineConfig::certify`](crate::EngineConfig::certify)) a
+/// *yes* carries the witness valuation the accepting search branch corresponds to
+/// (filled to a total valuation of `view.db`; for converted views the c-table algebra
+/// guarantees `q(σ(view.db)) = σ(converted)` for every total σ, so a witness over the
+/// converted database certifies the view claim); a *no* carries
+/// [`Certificate::EmptyRep`] or rests on the exhaustive search
+/// ([`Certificate::Exhaustive`]).
 pub fn view_membership_with(view: &View, instance: &Instance, engine: &Engine) -> Decision {
-    match view.to_ctables() {
-        Some(Ok(db)) => {
-            let split = engine.config().per_shard;
-            let chosen = if view.query.is_identity() {
-                strategy_with(&db, split)
-            } else {
-                let groups = db.shard_groups().len();
-                if split && groups > 1 {
-                    Strategy::PerShard { groups }
-                } else {
-                    Strategy::Backtracking
-                }
-            };
-            Decision::of(dispatch(&db, instance, engine, chosen), chosen)
-        }
-        Some(Err(_)) => Decision::of(Ok(false), Strategy::Backtracking),
+    let (strategy, converted) = plan(view, engine.config().per_shard);
+    let decided = match converted {
+        Some(Ok(db)) => dispatch(&db, instance, engine, strategy),
+        // Some output relation is structurally unproducible: no world matches.
+        Some(Err(_)) => Ok((false, None)),
         None => {
             let vars: Vec<_> = view.db.variables().into_iter().collect();
             let mut delta = evaluation_delta(&view.db, instance.active_domain());
             delta.extend(view.query.constants());
-            let found =
-                engine.find_canonical_valuation(view.db.symbols(), &vars, &delta, |valuation| {
+            let certify = engine.config().certify;
+            engine
+                .find_canonical_valuation(view.db.symbols(), &vars, &delta, |valuation| {
                     let world = valuation.world_of(&view.db)?;
                     let output = view.query.eval(&world);
-                    output.same_facts(instance).then_some(())
-                });
-            Decision::of(found.map(|f| f.is_some()), Strategy::WorldEnumeration)
+                    output
+                        .same_facts(instance)
+                        .then(|| certify.then(|| valuation.iter().collect()))
+                })
+                .map(|found| (found.is_some(), found.flatten()))
         }
-    }
-}
-
-/// [`view_membership_with`] plus certificate extraction: the same dispatch, the same
-/// answer, and — when [`crate::EngineConfig::certify`] is on — a [`Certificate`] the
-/// independent checker (`pw_check`) can validate without trusting this crate.  A *yes*
-/// carries the witness valuation the accepting search branch corresponds to (filled to a
-/// total valuation of `view.db`; for converted views the c-table algebra guarantees
-/// `q(σ(view.db)) = σ(converted)` for every total σ, so a witness over the converted
-/// database certifies the view claim); a *no* carries [`Certificate::EmptyRep`] or
-/// rests on the exhaustive search ([`Certificate::Exhaustive`]).
-pub(crate) fn view_membership_certified(
-    view: &View,
-    instance: &Instance,
-    engine: &Engine,
-) -> Decision {
-    if !engine.config().certify {
-        return view_membership_with(view, instance, engine);
-    }
-    match view.to_ctables() {
-        Some(Ok(db)) => {
-            let split = engine.config().per_shard;
-            let chosen = if view.query.is_identity() {
-                strategy_with(&db, split)
-            } else {
-                let groups = db.shard_groups().len();
-                if split && groups > 1 {
-                    Strategy::PerShard { groups }
-                } else {
-                    Strategy::Backtracking
-                }
-            };
+    };
+    certify::decision(engine, strategy, decided, |answer, w| {
+        if answer {
             let avoid = certify::avoid_set(&view.db, instance);
-            let yes = |w| {
-                Some(Certificate::witness(certify::valuation(
-                    certify::fill_unassigned(&view.db, w, &avoid),
-                )))
-            };
-            let (answer, cert) = match witness(&db, instance, engine, chosen) {
-                Ok((true, w)) => (Ok(true), w.and_then(yes)),
-                Ok((false, _)) => (Ok(false), Some(certify::no_world_cert(&view.db))),
-                Err(e) => (Err(e), None),
-            };
-            Decision::certified(answer, chosen, cert)
+            let w = certify::fill_unassigned(&view.db, w?, &avoid);
+            Some(Certificate::witness(certify::valuation(w)))
+        } else {
+            Some(certify::no_world_cert(&view.db))
         }
-        // Conversion error: some output relation is structurally unproducible; no world
-        // matches, and the checker accepts the verdict on the exhaustiveness claim.
-        Some(Err(_)) => Decision::certified(
-            Ok(false),
-            Strategy::Backtracking,
-            Some(Certificate::Exhaustive),
-        ),
-        None => {
-            let vars: Vec<_> = view.db.variables().into_iter().collect();
-            let mut delta = evaluation_delta(&view.db, instance.active_domain());
-            delta.extend(view.query.constants());
-            let found =
-                engine.find_canonical_valuation(view.db.symbols(), &vars, &delta, |valuation| {
-                    let world = valuation.world_of(&view.db)?;
-                    let output = view.query.eval(&world);
-                    output.same_facts(instance).then(|| valuation.clone())
-                });
-            match found {
-                Ok(Some(v)) => Decision::certified(
-                    Ok(true),
-                    Strategy::WorldEnumeration,
-                    Some(Certificate::witness(v)),
-                ),
-                Ok(None) => Decision::certified(
-                    Ok(false),
-                    Strategy::WorldEnumeration,
-                    Some(certify::no_world_cert(&view.db)),
-                ),
-                Err(e) => Decision::of(Err(e), Strategy::WorldEnumeration),
-            }
-        }
-    }
+    })
 }
 
-/// Certified twin of [`per_shard_with`]: same memo keys (`MemoOp::Member` per group), but
-/// entries are stored *with* their per-group certificates and the group witnesses are
-/// merged into one binding over the whole converted database.
-pub(crate) fn certified_per_shard_member(
-    db: &CDatabase,
-    instance: &Instance,
-    engine: &Engine,
-) -> Result<(bool, Option<certify::Binding>), DecisionError> {
-    certify::per_shard_witness(
-        db,
-        instance,
-        engine,
-        crate::engine::MemoOp::Member,
-        |sub, part, ctx| {
-            if sub.is_decoupled_codd() {
-                let w = certify::codd_membership_witness(sub, part);
-                Ok((w.is_some(), w))
-            } else {
-                let verdict = backtracking_ctx(sub, part, engine, ctx)?;
-                Ok(certify::read_off(verdict, sub, part))
-            }
+/// The dispatch decision plus (when applicable) the one-time view→c-table conversion:
+/// an identity view dispatches like [`decide`] on the converted database, any other
+/// UCQ-convertible view runs the backtracking search (fanned out per shard group when
+/// the converted database's coupling graph splits and `per_shard` is enabled), and the
+/// rest falls back to canonical-valuation enumeration.
+fn plan(view: &View, per_shard: bool) -> (Strategy, Option<Result<CDatabase, AlgebraError>>) {
+    let Some(converted) = view.to_ctables() else {
+        return (Strategy::WorldEnumeration, None);
+    };
+    let strategy = match &converted {
+        Ok(db) if view.query.is_identity() => strategy_with(db, per_shard),
+        Ok(db) if per_shard && db.shard_groups().len() > 1 => Strategy::PerShard {
+            groups: db.shard_groups().len(),
         },
-    )
+        _ => Strategy::Backtracking,
+    };
+    (strategy, Some(converted))
 }
 
 /// The strategy [`view_membership`] will use.
 pub fn view_strategy(view: &View) -> Strategy {
-    if view.query.is_identity() {
-        strategy(&view.db)
-    } else {
-        match view.to_ctables() {
-            Some(Ok(db)) => {
-                let groups = db.shard_groups().len();
-                if groups > 1 {
-                    Strategy::PerShard { groups }
-                } else {
-                    Strategy::Backtracking
-                }
-            }
-            Some(Err(_)) => Strategy::Backtracking,
-            None => Strategy::WorldEnumeration,
-        }
-    }
+    plan(view, true).0
 }
 
 /// Exhaustive reference implementation (for cross-validation tests): enumerate every

@@ -11,9 +11,9 @@
 //! * [`by_enumeration`] — the fallback for first order / DATALOG views (NP-complete even on
 //!   Codd-tables, Theorem 5.2(2,3)).
 
-use crate::certify;
+use crate::certify::{self, Evidence};
 use crate::common::{evaluation_delta, Budget, Decision, DecisionError, Strategy};
-use crate::engine::{Engine, EngineConfig};
+use crate::engine::{Engine, EngineConfig, MemoOp};
 use pw_core::algebra::AlgebraError;
 use pw_core::{CDatabase, Certificate, View};
 use pw_relational::Instance;
@@ -39,102 +39,45 @@ pub fn decide(view: &View, facts: &Instance, budget: Budget) -> Result<bool, Dec
 /// (and in particular the view→c-table conversion behind it) is paid exactly once per
 /// call — the batched front door relies on this instead of re-deriving the strategy
 /// separately.
+///
+/// On a certifying engine ([`EngineConfig::certify`](crate::EngineConfig::certify)) a
+/// *yes* carries a witness valuation under which `facts ⊆ q(world)`, read off the
+/// covering search that decided (or built from the matching) over the converted
+/// database and filled to a total valuation of `view.db` — `q(σ(view.db)) =
+/// σ(converted)` for every total σ; a *no* carries [`Certificate::EmptyRep`] or rests
+/// on [`Certificate::Exhaustive`].
 pub fn decide_with(view: &View, facts: &Instance, engine: &Engine) -> Decision {
     let (strategy, converted) = plan(view, engine.config().per_shard);
-    let answer = match strategy {
-        Strategy::CoddMatching => Ok(codd_matching(&view.db, facts)),
-        Strategy::PerShard { .. } => {
-            match converted.expect("planned strategies carry their conversion") {
-                Ok(db) => engine.exists_world_covering_per_shard(&db, facts),
-                Err(_) => Ok(false),
-            }
+    let decided = match strategy {
+        Strategy::CoddMatching if engine.config().certify => {
+            let w = certify::codd_possibility_witness(&view.db, facts);
+            Ok((w.is_some(), w))
         }
-        Strategy::CTableAlgebra | Strategy::Backtracking => {
+        Strategy::CoddMatching => Ok((codd_matching(&view.db, facts), None)),
+        Strategy::PerShard { .. } | Strategy::CTableAlgebra | Strategy::Backtracking => {
             match converted.expect("planned strategies carry their conversion") {
-                Ok(db) => engine.exists_world_covering(&db, facts),
-                Err(_) => Ok(false),
+                Ok(db) if matches!(strategy, Strategy::PerShard { .. }) => engine
+                    .per_shard_conjunction(MemoOp::Covering, &db, facts, |gdb, part, ctx| {
+                        let verdict = engine.covering_ctx(gdb, part, ctx)?;
+                        Ok(certify::read_off(verdict, gdb, part))
+                    }),
+                Ok(db) => engine
+                    .covering_ctx(&db, facts, &engine.ctx())
+                    .map(|verdict| certify::read_off(verdict, &db, facts)),
+                Err(_) => Ok((false, None)),
             }
         }
         _ => by_enumeration_with(view, facts, engine),
     };
-    Decision::of(answer, strategy)
-}
-
-/// [`decide_with`] plus certificate extraction: a *yes* carries a witness valuation
-/// under which `facts ⊆ q(world)` (extracted over the converted database and filled to a
-/// total valuation of `view.db` — `q(σ(view.db)) = σ(converted)` for every total σ); a
-/// *no* carries [`Certificate::EmptyRep`] or rests on [`Certificate::Exhaustive`].
-pub(crate) fn decide_certified(view: &View, facts: &Instance, engine: &Engine) -> Decision {
-    if !engine.config().certify {
-        return decide_with(view, facts, engine);
-    }
-    let (strategy, converted) = plan(view, engine.config().per_shard);
-    let avoid = certify::avoid_set(&view.db, facts);
-    let yes = |w| {
-        Some(Certificate::witness(certify::valuation(
-            certify::fill_unassigned(&view.db, w, &avoid),
-        )))
-    };
-    let no = || Some(certify::no_world_cert(&view.db));
-    match strategy {
-        Strategy::CoddMatching => match certify::codd_possibility_witness(&view.db, facts) {
-            Some(w) => Decision::certified(Ok(true), strategy, yes(w)),
-            None => Decision::certified(Ok(false), strategy, no()),
-        },
-        Strategy::PerShard { .. } => {
-            match converted.expect("planned strategies carry their conversion") {
-                Ok(db) => {
-                    let outcome = certify::per_shard_witness(
-                        &db,
-                        facts,
-                        engine,
-                        crate::engine::MemoOp::Covering,
-                        |gdb, part, ctx| {
-                            let verdict = engine.covering_ctx(gdb, part, ctx)?;
-                            Ok(certify::read_off(verdict, gdb, part))
-                        },
-                    );
-                    match outcome {
-                        Ok((true, Some(w))) => Decision::certified(Ok(true), strategy, yes(w)),
-                        Ok((true, None)) => Decision::of(Ok(true), strategy),
-                        Ok((false, _)) => Decision::certified(Ok(false), strategy, no()),
-                        Err(e) => Decision::of(Err(e), strategy),
-                    }
-                }
-                Err(_) => Decision::certified(Ok(false), strategy, Some(Certificate::Exhaustive)),
-            }
+    certify::decision(engine, strategy, decided, |answer, w| {
+        if answer {
+            let avoid = certify::avoid_set(&view.db, facts);
+            let w = certify::fill_unassigned(&view.db, w?, &avoid);
+            Some(Certificate::witness(certify::valuation(w)))
+        } else {
+            Some(certify::no_world_cert(&view.db))
         }
-        Strategy::CTableAlgebra | Strategy::Backtracking => {
-            match converted.expect("planned strategies carry their conversion") {
-                Ok(db) => match engine.covering_ctx(&db, facts, &engine.ctx()) {
-                    Ok(verdict) => match certify::read_off(verdict, &db, facts) {
-                        (true, w) => Decision::certified(Ok(true), strategy, w.and_then(yes)),
-                        (false, _) => Decision::certified(Ok(false), strategy, no()),
-                    },
-                    Err(e) => Decision::of(Err(e), strategy),
-                },
-                Err(_) => Decision::certified(Ok(false), strategy, Some(Certificate::Exhaustive)),
-            }
-        }
-        _ => {
-            let vars: Vec<_> = view.db.variables().into_iter().collect();
-            let mut delta = evaluation_delta(&view.db, facts.active_domain());
-            delta.extend(view.query.constants());
-            let found =
-                engine.find_canonical_valuation(view.db.symbols(), &vars, &delta, |valuation| {
-                    let world = valuation.world_of(&view.db)?;
-                    let output = view.query.eval(&world);
-                    facts.is_subinstance_of(&output).then(|| valuation.clone())
-                });
-            match found {
-                Ok(Some(v)) => {
-                    Decision::certified(Ok(true), strategy, Some(Certificate::witness(v)))
-                }
-                Ok(None) => Decision::certified(Ok(false), strategy, no()),
-                Err(e) => Decision::of(Err(e), strategy),
-            }
-        }
-    }
+    })
 }
 
 /// The dispatch decision and, when the chosen strategy runs on a converted c-table
@@ -225,22 +168,26 @@ pub fn row_cover(db: &CDatabase, facts: &Instance, budget: Budget) -> Result<boo
     Engine::new(EngineConfig::sequential(budget)).exists_world_covering(db, facts)
 }
 
-/// [`by_enumeration`] on an explicit [`Engine`] (parallel canonical-valuation
-/// enumeration).
-pub fn by_enumeration_with(
+/// Canonical-valuation enumeration on an explicit [`Engine`] (parallel over the
+/// valuations): the first valuation whose world contains `facts` — kept as the
+/// evidence on a certifying engine.
+fn by_enumeration_with(
     view: &View,
     facts: &Instance,
     engine: &Engine,
-) -> Result<bool, DecisionError> {
+) -> Result<Evidence, DecisionError> {
     let vars: Vec<_> = view.db.variables().into_iter().collect();
     let mut delta = evaluation_delta(&view.db, facts.active_domain());
     delta.extend(view.query.constants());
+    let certify = engine.config().certify;
     let found = engine.find_canonical_valuation(view.db.symbols(), &vars, &delta, |valuation| {
         let world = valuation.world_of(&view.db)?;
         let output = view.query.eval(&world);
-        facts.is_subinstance_of(&output).then_some(())
+        facts
+            .is_subinstance_of(&output)
+            .then(|| certify.then(|| valuation.iter().collect()))
     })?;
-    Ok(found.is_some())
+    Ok((found.is_some(), found.flatten()))
 }
 
 /// Generic fallback for first order and DATALOG views: canonical-valuation enumeration.
@@ -250,6 +197,7 @@ pub fn by_enumeration(
     budget: Budget,
 ) -> Result<bool, DecisionError> {
     by_enumeration_with(view, facts, &Engine::new(EngineConfig::sequential(budget)))
+        .map(|(found, _)| found)
 }
 
 #[cfg(test)]

@@ -11,15 +11,15 @@
 //!   non-existence of a differing world, decided by the engine's constraint searches
 //!   ([`Engine::exists_world_with_fact_outside`], [`Engine::exists_world_missing_any_fact`]).
 
-use crate::certify;
+use crate::certify::{self, Evidence};
 use crate::common::{
     evaluation_delta, freeze_database, normalize_database, Budget, Decision, DecisionError,
     Strategy,
 };
-use crate::engine::{Engine, EngineConfig, MemoOp};
+use crate::engine::{Engine, EngineConfig};
 use crate::membership;
 use pw_core::algebra::AlgebraError;
-use pw_core::{CDatabase, CTable, Certificate, TableClass, View};
+use pw_core::{CDatabase, CTable, Certificate, TableClass, Valuation, View};
 use pw_query::{Query, QueryClass, QueryDef};
 use pw_relational::{Instance, Relation};
 use std::collections::BTreeSet;
@@ -43,319 +43,66 @@ pub fn decide(view: &View, instance: &Instance, budget: Budget) -> Result<bool, 
 /// Returns a [`Decision`] carrying the answer next to the [`Strategy`] that produced
 /// (or attempted) it, so the strategy survives a budget-exceeded search; the dispatch
 /// (and the view→c-table conversion behind it) runs exactly once per call.
+///
+/// On a certifying engine ([`EngineConfig::certify`](crate::EngineConfig::certify)) a
+/// *yes* rests on the exhaustive complement ([`Certificate::Exhaustive`] — uniqueness
+/// has no small positive witness); a *no* carries [`Certificate::EmptyRep`] (no world
+/// at all) or a [`Certificate::CounterWorld`] — a valuation whose world differs from
+/// the instance, read off the complement search that found it, or else the generic
+/// world (verified to differ) or one found by enumeration.
 pub fn decide_with(view: &View, instance: &Instance, engine: &Engine) -> Decision {
     let (strategy, converted) = plan(view, engine.config().per_shard);
-    let answer = match strategy {
-        Strategy::GTableNormalization => Ok(gtable_uniqueness(&view.db, instance)),
-        Strategy::PosExistEtable => Ok(pos_exist_etable(&view.query, &view.db, instance)
-            .expect("strategy selection guarantees applicability")),
-        Strategy::PerShard { .. } => {
-            match converted.expect("planned strategies carry their conversion") {
-                Ok(db) => complement_search_per_shard(&db, instance, engine),
-                Err(_) => Ok(false),
-            }
+    let decided = match strategy {
+        Strategy::GTableNormalization => Ok((gtable_uniqueness(&view.db, instance), None)),
+        Strategy::PosExistEtable => {
+            let answer = pos_exist_etable(&view.query, &view.db, instance)
+                .expect("strategy selection guarantees applicability");
+            Ok((answer, None))
         }
-        Strategy::Backtracking => {
+        Strategy::PerShard { .. } | Strategy::Backtracking => {
+            let per_shard = matches!(strategy, Strategy::PerShard { .. });
             match converted.expect("planned strategies carry their conversion") {
-                Ok(db) => complement_search_with(&db, instance, engine),
-                Err(_) => Ok(false),
+                Ok(db) => complement(&db, instance, engine, per_shard),
+                Err(_) => Ok((false, None)),
             }
         }
         _ => by_enumeration_with(view, instance, engine),
     };
-    Decision::of(answer, strategy)
+    certify::decision(engine, strategy, decided, |answer, w| {
+        if answer {
+            return Some(Certificate::Exhaustive);
+        }
+        if !view.db.has_satisfiable_globals() {
+            return Some(Certificate::EmptyRep);
+        }
+        let w = match w {
+            // The search's binding ranges over the converted database: fill the view
+            // database's remaining variables (the c-table algebra guarantees
+            // `q(σ(view.db)) = σ(converted)` for every total σ).
+            Some(w) => {
+                let avoid = certify::avoid_set(&view.db, instance);
+                certify::valuation(certify::fill_unassigned(&view.db, w, &avoid))
+            }
+            None => generic_counter_world(view, instance, engine)?,
+        };
+        Some(Certificate::counter_world(w))
+    })
 }
 
-/// [`decide_with`] plus certificate extraction: a *yes* rests on the exhaustive
-/// complement ([`Certificate::Exhaustive`] — uniqueness has no small positive witness);
-/// a *no* carries [`Certificate::EmptyRep`] (no world at all) or a
-/// [`Certificate::CounterWorld`] — a valuation whose world differs from the instance.
-pub(crate) fn decide_certified(view: &View, instance: &Instance, engine: &Engine) -> Decision {
-    if !engine.config().certify {
-        return decide_with(view, instance, engine);
-    }
-    let (strategy, converted) = plan(view, engine.config().per_shard);
-    match strategy {
-        Strategy::GTableNormalization => {
-            if gtable_uniqueness(&view.db, instance) {
-                Decision::certified(Ok(true), strategy, Some(Certificate::Exhaustive))
-            } else {
-                Decision::certified(
-                    Ok(false),
-                    strategy,
-                    no_uniqueness_cert(view, instance, engine),
-                )
-            }
-        }
-        Strategy::PosExistEtable => {
-            let answer = pos_exist_etable(&view.query, &view.db, instance)
-                .expect("strategy selection guarantees applicability");
-            if answer {
-                Decision::certified(Ok(true), strategy, Some(Certificate::Exhaustive))
-            } else {
-                Decision::certified(
-                    Ok(false),
-                    strategy,
-                    no_uniqueness_cert(view, instance, engine),
-                )
-            }
-        }
-        Strategy::PerShard { .. } => {
-            match converted.expect("planned strategies carry their conversion") {
-                Ok(db) => certified_per_shard(view, &db, instance, engine, strategy),
-                Err(_) => Decision::of(Ok(false), strategy),
-            }
-        }
-        Strategy::Backtracking => {
-            match converted.expect("planned strategies carry their conversion") {
-                Ok(db) => certified_joint(view, &db, instance, engine, strategy),
-                Err(_) => Decision::of(Ok(false), strategy),
-            }
-        }
-        _ => {
-            let vars: Vec<_> = view.db.variables().into_iter().collect();
-            let delta = enumeration_delta(view, instance);
-            let found_world = AtomicBool::new(false);
-            let differing =
-                engine.find_canonical_valuation(view.db.symbols(), &vars, &delta, |valuation| {
-                    let world = valuation.world_of(&view.db)?;
-                    let output = view.query.eval(&world);
-                    found_world.store(true, Ordering::Relaxed);
-                    (!output.same_facts(instance)).then(|| valuation.clone())
-                });
-            match differing {
-                Err(e) => Decision::of(Err(e), strategy),
-                Ok(Some(v)) => {
-                    Decision::certified(Ok(false), strategy, Some(Certificate::counter_world(v)))
-                }
-                Ok(None) if found_world.load(Ordering::Relaxed) => {
-                    Decision::certified(Ok(true), strategy, Some(Certificate::Exhaustive))
-                }
-                Ok(None) => {
-                    let cert =
-                        (!view.db.has_satisfiable_globals()).then_some(Certificate::EmptyRep);
-                    Decision::certified(Ok(false), strategy, cert)
-                }
-            }
-        }
-    }
-}
-
-/// Certified twin of [`complement_search_with`]: membership is decided (answer only —
-/// the uniqueness *yes* needs no membership witness), then the same two complement
-/// forests run on one shared budget pool, and a differing world is read off the
-/// accepting leaf of whichever half found one.
-fn certified_joint(
-    view: &View,
-    db: &CDatabase,
-    instance: &Instance,
-    engine: &Engine,
-    strategy: Strategy,
-) -> Decision {
-    if !engine.has_satisfiable_globals(db) {
-        let cert = (!view.db.has_satisfiable_globals()).then_some(Certificate::EmptyRep);
-        return Decision::certified(Ok(false), strategy, cert);
-    }
-    match membership::decide_joint_with(db, instance, engine) {
-        Ok(true) => {}
-        Ok(false) => {
-            // I is not even a member: *every* world differs from it.
-            return Decision::certified(
-                Ok(false),
-                strategy,
-                any_world_counter(engine, view, instance),
-            );
-        }
-        Err(e) => return Decision::of(Err(e), strategy),
-    }
-    let ctx = engine.ctx();
-    let differing = engine
-        .fact_outside_ctx(db, instance, &ctx)
-        .and_then(|escape| {
-            if escape.found {
-                return Ok(escape);
-            }
-            engine.missing_any_ctx(db, instance, &ctx)
-        });
-    match differing {
-        Ok(verdict) => match certify::read_off(verdict, db, instance) {
-            (true, w) => Decision::certified(
-                Ok(false),
-                strategy,
-                w.and_then(|w| differing_world(view, w, instance)),
-            ),
-            (false, _) => Decision::certified(Ok(true), strategy, Some(Certificate::Exhaustive)),
-        },
-        Err(e) => Decision::of(Err(e), strategy),
-    }
-}
-
-/// Certified twin of [`complement_search_per_shard`]: certified per-group membership,
-/// then the escaping-row and missing-fact disjunctions group by group through the
-/// certificate-aware memo (same `MemoOp::Escape` / `MemoOp::MissingAny` keys), with a
-/// group's counter-world stitched with the other groups' base completions.
-fn certified_per_shard(
-    view: &View,
-    db: &CDatabase,
-    instance: &Instance,
-    engine: &Engine,
-    strategy: Strategy,
-) -> Decision {
-    if db
-        .shard_groups()
-        .iter()
-        .any(|g| !engine.has_satisfiable_globals(g.database()))
-    {
-        let cert = (!view.db.has_satisfiable_globals()).then_some(Certificate::EmptyRep);
-        return Decision::certified(Ok(false), strategy, cert);
-    }
-    match membership::certified_per_shard_member(db, instance, engine) {
-        Ok((true, _)) => {}
-        Ok((false, _)) => {
-            return Decision::certified(
-                Ok(false),
-                strategy,
-                any_world_counter(engine, view, instance),
-            );
-        }
-        Err(e) => return Decision::of(Err(e), strategy),
-    }
-    let ctx = engine.ctx();
-    // Escaping row, group by group (the certified twin of `fact_outside_per_shard_ctx`).
-    for (g_idx, group) in db.shard_groups().iter().enumerate() {
-        let gdb = group.database();
-        let mut part = Instance::new();
-        for table in gdb.tables() {
-            if let Some(rel) = instance.relation(table.name()) {
-                if rel.arity() == table.arity() && !rel.is_empty() {
-                    part.insert_relation(table.name().to_owned(), rel.clone());
-                }
-            }
-        }
-        let outcome = engine.memo_decide(MemoOp::Escape, gdb, &part, None, true, || {
-            let verdict = engine.fact_outside_ctx(gdb, &part, &ctx.fork())?;
-            Ok(certify::counter_or_exhaustive(verdict, gdb, &part))
-        });
-        match outcome {
-            Ok((true, cert)) => {
-                return Decision::certified(
-                    Ok(false),
-                    strategy,
-                    stitch(engine, view, db, g_idx, cert, instance),
-                )
-            }
-            Ok((false, _)) => {}
-            Err(e) => return Decision::of(Err(e), strategy),
-        }
-    }
-    // Missing fact, group by group (the certified twin of `missing_any_per_shard_ctx`).
-    let group_of = db.shard_group_index();
-    let mut parts: Vec<Instance> = vec![Instance::new(); db.shard_groups().len()];
-    let mut any_fact = false;
-    for (name, rel) in instance.iter() {
-        if rel.is_empty() {
-            continue;
-        }
-        match db.table_position(name) {
-            Some(pos) if db.tables()[pos].arity() == rel.arity() => {
-                parts[group_of[pos]].insert_relation(name.clone(), rel.clone());
-                any_fact = true;
-            }
-            // Unreachable after a successful membership — defensive.
-            _ => {
-                return Decision::certified(
-                    Ok(false),
-                    strategy,
-                    any_world_counter(engine, view, instance),
-                )
-            }
-        }
-    }
-    if any_fact {
-        for (g_idx, (group, part)) in db.shard_groups().iter().zip(&parts).enumerate() {
-            if part.relation_count() == 0 {
-                continue;
-            }
-            let gdb = group.database();
-            let outcome = engine.memo_decide(MemoOp::MissingAny, gdb, part, None, true, || {
-                let verdict = engine.missing_any_ctx(gdb, part, &ctx.fork())?;
-                Ok(certify::counter_or_exhaustive(verdict, gdb, part))
-            });
-            match outcome {
-                Ok((true, cert)) => {
-                    return Decision::certified(
-                        Ok(false),
-                        strategy,
-                        stitch(engine, view, db, g_idx, cert, instance),
-                    )
-                }
-                Ok((false, _)) => {}
-                Err(e) => return Decision::of(Err(e), strategy),
-            }
-        }
-    }
-    Decision::certified(Ok(true), strategy, Some(Certificate::Exhaustive))
-}
-
-/// Stitch a group's counter-world certificate into a counter-world of the whole view.
-fn stitch(
-    engine: &Engine,
-    view: &View,
-    db: &CDatabase,
-    g_idx: usize,
-    cert: Option<Certificate>,
-    instance: &Instance,
-) -> Option<Certificate> {
-    match cert {
-        Some(Certificate::CounterWorld { valuation }) => {
-            certify::stitch_counter_world(engine, db, g_idx, valuation.iter().collect())
-                .and_then(|w| differing_world(view, w, instance))
-        }
-        _ => None,
-    }
-}
-
-/// Package a binding over the converted database as a differing world of the view.
-fn differing_world(view: &View, w: certify::Binding, instance: &Instance) -> Option<Certificate> {
-    let avoid = certify::avoid_set(&view.db, instance);
-    Some(Certificate::counter_world(certify::valuation(
-        certify::fill_unassigned(&view.db, w, &avoid),
-    )))
-}
-
-/// When `I` is not in the representation at all, any world differs from it: the base
-/// completion (globals asserted, everything else fresh) is the counter-world.
-fn any_world_counter(engine: &Engine, view: &View, instance: &Instance) -> Option<Certificate> {
-    certify::base_completion(engine, &view.db, &certify::avoid_set(&view.db, instance))
-        .map(|w| Certificate::counter_world(certify::valuation(w)))
-}
-
-/// A counter-world for the polynomial no-paths: [`Certificate::EmptyRep`] when there is
-/// no world at all, otherwise a base completion that provably differs (verified locally,
-/// with canonical-valuation enumeration as the fallback).
-fn no_uniqueness_cert(view: &View, instance: &Instance, engine: &Engine) -> Option<Certificate> {
-    if !view.db.has_satisfiable_globals() {
-        return Some(Certificate::EmptyRep);
-    }
-    certify::base_completion(engine, &view.db, &certify::avoid_set(&view.db, instance))
-        .map(certify::valuation)
-        .filter(|v| {
-            v.world_of(&view.db)
-                .is_some_and(|world| !view.query.eval(&world).same_facts(instance))
-        })
-        .map(Certificate::counter_world)
-        .or_else(|| {
-            let vars: Vec<_> = view.db.variables().into_iter().collect();
-            let delta = enumeration_delta(view, instance);
-            engine
-                .find_canonical_valuation(view.db.symbols(), &vars, &delta, |valuation| {
-                    let world = valuation.world_of(&view.db)?;
-                    (!view.query.eval(&world).same_facts(instance)).then(|| valuation.clone())
-                })
-                .ok()
-                .flatten()
-                .map(Certificate::counter_world)
-        })
+/// The differing world behind a *no* no search produced one for — the polynomial
+/// paths' and a failed membership's: the generic world, verified locally to differ
+/// from the instance (any world does when the instance is not a member), with
+/// canonical-valuation enumeration as the fallback.
+fn generic_counter_world(view: &View, instance: &Instance, engine: &Engine) -> Option<Valuation> {
+    certify::generic_world(engine, view, instance, |answer| {
+        !answer.same_facts(instance)
+    })
+    .or_else(|| {
+        by_enumeration_with(view, instance, engine)
+            .ok()?
+            .1
+            .map(certify::valuation)
+    })
 }
 
 /// The dispatch decision plus (when applicable) the one-time view→c-table conversion.
@@ -522,82 +269,77 @@ pub fn complement_search(
     instance: &Instance,
     budget: Budget,
 ) -> Result<bool, DecisionError> {
-    complement_search_with(db, instance, &Engine::new(EngineConfig::sequential(budget)))
+    let engine = Engine::new(EngineConfig::sequential(budget));
+    Ok(complement(db, instance, &engine, false)?.0)
 }
 
-/// [`complement_search`] on an explicit [`Engine`].
-pub fn complement_search_with(
+/// [`complement_search`] on an explicit [`Engine`], jointly or over the shard groups
+/// (`per_shard`): membership, then the escaping-row and missing-fact searches — with the
+/// membership fanned per group and the two complement searches rooted in per-group base
+/// stores when `per_shard`.  A product of representations is `{I}` iff every factor is
+/// non-empty and the joint checks pass, so an unsatisfiable group means
+/// `rep(db) = ∅ ≠ {I}`.  The evidence of a *no* is the differing world the escaping-row
+/// or missing-fact search found.
+fn complement(
     db: &CDatabase,
     instance: &Instance,
     engine: &Engine,
-) -> Result<bool, DecisionError> {
-    if !engine.has_satisfiable_globals(db) {
-        return Ok(false);
+    per_shard: bool,
+) -> Result<Evidence, DecisionError> {
+    if !engine.has_worlds(db, per_shard) {
+        return Ok((false, None));
     }
-    if !membership::decide_joint_with(db, instance, engine)? {
-        return Ok(false);
+    let (member, _) = if per_shard {
+        membership::per_shard_with(db, instance, engine)?
+    } else {
+        let strategy = membership::strategy_with(db, false);
+        membership::dispatch(db, instance, engine, strategy)?
+    };
+    if !member {
+        return Ok((false, None)); // every world differs from I
     }
     // Both halves of the complement charge one shared budget pool (and one deadline):
     // `Budget(N)` caps the combined complement work at N nodes.
     let ctx = engine.ctx();
-    if engine.fact_outside_ctx(db, instance, &ctx)?.found {
-        return Ok(false);
+    let escape = if per_shard {
+        engine.fact_outside_per_shard_ctx(db, instance, &ctx)?
+    } else {
+        certify::read_off(engine.fact_outside_ctx(db, instance, &ctx)?, db, instance)
+    };
+    if escape.0 {
+        return Ok((false, escape.1));
     }
     // One engine call covers all facts: each fact's "can it be missing?" search is an
     // independent subtree of the same forest.
-    Ok(!engine.missing_any_ctx(db, instance, &ctx)?.found)
+    let (missing, w) = if per_shard {
+        engine.missing_any_per_shard_ctx(db, instance, &ctx)?
+    } else {
+        certify::read_off(engine.missing_any_ctx(db, instance, &ctx)?, db, instance)
+    };
+    Ok((!missing, w))
 }
 
-/// [`complement_search_with`] over the shard groups: the same membership +
-/// escaping-row + missing-fact decomposition, with the membership fanned per group and
-/// the two complement forests rooted in per-group base stores.  A product of
-/// representations is `{I}` iff every factor is non-empty and the joint checks pass;
-/// an unsatisfiable group means `rep(db) = ∅ ≠ {I}`, matching the joint empty-rep rule.
-pub fn complement_search_per_shard(
-    db: &CDatabase,
-    instance: &Instance,
-    engine: &Engine,
-) -> Result<bool, DecisionError> {
-    if db
-        .shard_groups()
-        .iter()
-        .any(|g| !engine.has_satisfiable_globals(g.database()))
-    {
-        return Ok(false);
-    }
-    if !membership::per_shard_with(db, instance, engine)? {
-        return Ok(false);
-    }
-    // Both complement halves drain one budget pool, exactly like the joint path.
-    let ctx = engine.ctx();
-    if engine.fact_outside_per_shard_ctx(db, instance, &ctx)? {
-        return Ok(false);
-    }
-    if engine.missing_any_per_shard_ctx(db, instance, &ctx)? {
-        return Ok(false);
-    }
-    Ok(true)
-}
-
-/// [`by_enumeration`] on an explicit [`Engine`] (parallel canonical-valuation
-/// enumeration).
-pub fn by_enumeration_with(
+/// Canonical-valuation enumeration on an explicit [`Engine`] (parallel over the
+/// valuations): unique iff some world exists and none differs from `I` — the first
+/// differing one is kept as the counter-world on a certifying engine.
+fn by_enumeration_with(
     view: &View,
     instance: &Instance,
     engine: &Engine,
-) -> Result<bool, DecisionError> {
+) -> Result<Evidence, DecisionError> {
     let vars: Vec<_> = view.db.variables().into_iter().collect();
-    let mut delta = evaluation_delta(&view.db, instance.active_domain());
-    delta.extend(view.query.constants());
+    let delta = enumeration_delta(view, instance);
+    let certify = engine.config().certify;
     let found_world = AtomicBool::new(false);
     let differing =
         engine.find_canonical_valuation(view.db.symbols(), &vars, &delta, |valuation| {
             let world = valuation.world_of(&view.db)?;
             let output = view.query.eval(&world);
             found_world.store(true, Ordering::Relaxed);
-            (!output.same_facts(instance)).then_some(())
+            (!output.same_facts(instance)).then(|| certify.then(|| valuation.iter().collect()))
         })?;
-    Ok(found_world.load(Ordering::Relaxed) && differing.is_none())
+    let unique = found_world.load(Ordering::Relaxed) && differing.is_none();
+    Ok((unique, differing.flatten()))
 }
 
 /// Generic fallback: canonical-valuation enumeration (all worlds must equal `I`, and at
@@ -607,11 +349,8 @@ pub fn by_enumeration(
     instance: &Instance,
     budget: Budget,
 ) -> Result<bool, DecisionError> {
-    by_enumeration_with(
-        view,
-        instance,
-        &Engine::new(EngineConfig::sequential(budget)),
-    )
+    let engine = Engine::new(EngineConfig::sequential(budget));
+    Ok(by_enumeration_with(view, instance, &engine)?.0)
 }
 
 /// The uniqueness problem takes a set of constants from the instance into Δ; exposing the

@@ -72,13 +72,31 @@ fn answers(
         .collect()
 }
 
+/// Memo hits and misses of a session, after one step.
+fn memo_traffic(session: &Session) -> (u64, u64) {
+    let stats = session.engine().memo_stats();
+    (stats.hits, stats.misses)
+}
+
 #[test]
 fn empty_delta_replays_every_group_from_the_memo() {
+    // Certification adds evidence to the memo entries but changes no lookup: the plain
+    // and the certifying session see the same hits and misses at every step.
+    let cfg = EngineConfig::sequential(Budget(5_000_000));
+    let plain = empty_and_one_group_deltas(&cfg);
+    let certified = empty_and_one_group_deltas(&cfg.clone().certified());
+    assert_eq!(plain, certified, "(hits, misses) after each step");
+}
+
+/// Decide, replay an empty delta, then a one-group delta, in one session under `cfg`;
+/// returns the memo traffic after each of the three steps.
+fn empty_and_one_group_deltas(cfg: &EngineConfig) -> [(u64, u64); 3] {
     let base = decoupled_multirelation(4, &params(11));
     let member = member_instance(&base, &params(11));
     let non_member = non_member_instance(&base, &params(11));
-    let session = Session::sized(&EngineConfig::sequential(Budget(5_000_000)), 6);
+    let session = Session::sized(cfg, 6);
     let first = session.decide_all(&requests_for(&base, &member, &non_member));
+    let after_decide = memo_traffic(&session);
 
     let stats_before = session.engine().memo_stats();
     let redecision = session
@@ -133,11 +151,16 @@ fn empty_delta_replays_every_group_from_the_memo() {
         misses,
         "only the dirty group misses the memo"
     );
-    let fresh = Session::sized(&EngineConfig::sequential(Budget(5_000_000)), 6);
+    let fresh = Session::sized(cfg, 6);
     let fresh_outcomes = fresh.decide_all(&requests_for(&redecision.db, &member, &non_member));
     let fresh_stats = fresh.engine().memo_stats();
     assert_eq!(hits + misses, fresh_stats.hits + fresh_stats.misses);
     assert_eq!(answers(&redecision.outcomes), answers(&fresh_outcomes));
+    [
+        after_decide,
+        (stats_after.hits, stats_after.misses),
+        (stats_delta.hits, stats_delta.misses),
+    ]
 }
 
 #[test]

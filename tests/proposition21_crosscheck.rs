@@ -1,14 +1,15 @@
 //! Proposition 2.1 cross-checks: on small random databases, the specialised decision
 //! procedures must agree with brute-force possible-world enumeration over Δ ∪ Δ′.
 //!
-//! Membership, possibility and certainty are decided under every engine configuration
-//! that can change the search tree or its evidence: sequential and 4 threads, each
-//! plain and certified.  Every certified answer must pass the independent `pw_check`
-//! checker.  The six-row tables give the fail-first search room to fill rows and
-//! facts out of table order.
+//! All five problems are decided under every engine configuration that can change the
+//! search tree or its evidence: sequential and 4 threads, each plain and certified.
+//! Each request is decided twice — through the batch front door and through the
+//! problem's public entry point — and the two decisions must agree.  Every certified
+//! answer must pass the independent `pw_check` checker.  The six-row tables give the
+//! fail-first search room to fill rows and facts out of table order.
 
 use possible_worlds::decide::batch::{decide_all_with, DecisionRequest};
-use possible_worlds::decide::EngineConfig;
+use possible_worlds::decide::{Decision, Engine, EngineConfig};
 use possible_worlds::prelude::*;
 use possible_worlds::workloads::{
     member_instance, non_member_instance, random_codd_table, random_ctable, random_etable,
@@ -58,21 +59,65 @@ fn config_label(cfg: &EngineConfig) -> String {
     format!("{} threads{certified}", cfg.threads)
 }
 
-/// Decide `request` under `cfg`.  A certified answer must carry a certificate that
-/// `pw_check` accepts.
+/// Decide `request` under `cfg`, through the batch front door and through the
+/// problem's public entry point on an engine of the same configuration.  Both must
+/// reach the same answer under the same strategy.  A certified answer must carry a
+/// certificate that `pw_check` accepts on both paths, and an uncertified one none.
+/// Sequential runs must also agree on the certificate itself; at 4 threads the first
+/// accepting leaf any worker reaches supplies the valuation, so there each path's
+/// certificate is checked on its own.
 fn decide_checked(request: &DecisionRequest, cfg: &EngineConfig, context: &str) -> bool {
-    let decision = decide_all_with(std::slice::from_ref(request), cfg).remove(0);
-    let answer = decision
+    let batch = decide_all_with(std::slice::from_ref(request), cfg).remove(0);
+    let direct = decide_direct(request, &Engine::new(cfg.clone()));
+    assert_eq!(
+        direct.answer, batch.answer,
+        "{context}: entry point vs batch"
+    );
+    assert_eq!(
+        direct.strategy, batch.strategy,
+        "{context}: entry point vs batch"
+    );
+    if cfg.threads == 1 {
+        assert_eq!(
+            direct.certificate, batch.certificate,
+            "{context}: entry point vs batch"
+        );
+    }
+    let answer = batch
         .answer
+        .clone()
         .unwrap_or_else(|e| panic!("{context}: {e:?}"));
-    if cfg.certify {
-        let certificate = decision
-            .certificate
-            .unwrap_or_else(|| panic!("{context}: certified answer without a certificate"));
-        check::verify(&check_claim(request, answer), &certificate)
-            .unwrap_or_else(|e| panic!("{context}: pw_check rejected the certificate: {e}"));
+    for (path, decision) in [("batch", batch), ("entry point", direct)] {
+        match (cfg.certify, decision.certificate) {
+            (true, Some(certificate)) => check::verify(&check_claim(request, answer), &certificate)
+                .unwrap_or_else(|e| {
+                    panic!("{context}: pw_check rejected the {path} certificate: {e}")
+                }),
+            (true, None) => panic!("{context}: certified {path} answer without a certificate"),
+            (false, Some(_)) => panic!("{context}: uncertified {path} answer with a certificate"),
+            (false, None) => {}
+        }
     }
     answer
+}
+
+/// `request` through its problem's public entry point.
+fn decide_direct(request: &DecisionRequest, engine: &Engine) -> Decision {
+    match request {
+        DecisionRequest::Membership { view, instance } => {
+            membership::view_membership_with(view, instance, engine)
+        }
+        DecisionRequest::Uniqueness { view, instance } => {
+            uniqueness::decide_with(view, instance, engine)
+        }
+        DecisionRequest::Containment { left, right } => {
+            containment::decide_with(left, right, engine)
+        }
+        DecisionRequest::Possibility { view, facts } => {
+            possibility::decide_with(view, facts, engine)
+        }
+        DecisionRequest::Certainty { view, facts } => certainty::decide_with(view, facts, engine),
+    }
 }
 
 fn budget() -> Budget {
@@ -205,6 +250,14 @@ fn uniqueness_agrees_with_enumeration_on_all_classes() {
                 .unwrap();
             let slow = worlds.len() == 1 && worlds.iter().next().unwrap().same_facts(&candidate);
             assert_eq!(fast, slow, "uniqueness mismatch on {label} seed {seed}");
+            let request = DecisionRequest::Uniqueness {
+                view: view.clone(),
+                instance: candidate,
+            };
+            for cfg in engine_configs() {
+                let context = format!("uniqueness on {label}, seed {seed}, {}", config_label(&cfg));
+                assert_eq!(decide_checked(&request, &cfg, &context), slow, "{context}");
+            }
         }
     }
 }
@@ -253,10 +306,16 @@ fn containment_agrees_with_enumeration_on_small_pairs() {
                 let slow = left_worlds
                     .iter()
                     .all(|w| right_worlds.iter().any(|r| r.same_facts(w)));
-                assert_eq!(
-                    fast, slow,
-                    "containment mismatch: {label_left} ⊆ {label_right}, seed {seed}"
-                );
+                let context = format!("containment {label_left} ⊆ {label_right}, seed {seed}");
+                assert_eq!(fast, slow, "{context}");
+                let request = DecisionRequest::Containment {
+                    left: lv,
+                    right: rv,
+                };
+                for cfg in engine_configs() {
+                    let context = format!("{context}, {}", config_label(&cfg));
+                    assert_eq!(decide_checked(&request, &cfg, &context), slow, "{context}");
+                }
             }
         }
     }
